@@ -89,9 +89,8 @@ def step_exponentials(scheme) -> int:
     return scheme.m * 2 * stages
 
 
-def _breakdown_at(scheme, model_bounds: ModelBounds, h: float,
+def _breakdown_at(scheme, model_bounds: ModelBounds, cbar: float, h: float,
                   rel_tol: float) -> ErrorBreakdown:
-    cbar = schemes.compute_cbar(scheme, model_bounds.c)
     params = BoundParams(c=model_bounds.c, cbar=cbar, h=h,
                          s=scheme.s, m=scheme.m, n=model_bounds.n)
     return bounds.step_error(scheme, params, rel_tol)
@@ -130,10 +129,11 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
         raise ValueError(f"total_time must be positive, got {total_time}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    cbar = schemes.compute_cbar(scheme, model_bounds.c)
 
     def attempt(r: int) -> ErrorBreakdown | None:
         try:
-            return _breakdown_at(scheme, model_bounds, total_time / r, rel_tol)
+            return _breakdown_at(scheme, model_bounds, cbar, total_time / r, rel_tol)
         except DivergentRegimeError:
             return None
 
@@ -329,13 +329,14 @@ def validate(scheme, seed: int, n: int, samples: int, out,
         raise ValueError(f"samples must be >= 1, got {samples}")
     model = spin_model.random_model(n, seed=seed)
     mb = ModelBounds(c=spin_model.taylor_bound_c(model), n=n)
+    cbar = schemes.compute_cbar(scheme, mb.c)
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(samples):
         t0 = rng.uniform(*_VALIDATE_T0_RANGE)
         h = rng.uniform(*_VALIDATE_H_RANGE)
         try:
-            bd = _breakdown_at(scheme, mb, h, rel_tol)
+            bd = _breakdown_at(scheme, mb, cbar, h, rel_tol)
         except DivergentRegimeError:
             rows.append(ValidationRow(t0, h, None, None, "guard"))
             continue

@@ -32,8 +32,6 @@ _REFERENCE_MAX_STEPS = 2 ** 20
 
 _HERMITICITY_RTOL = 1e-12
 
-_SELF_COMMUTATION_ATOL = 1e-12
-
 
 def _require_hermitian(mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat)
@@ -88,40 +86,26 @@ def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     return u
 
 
-def _check_self_commuting(family: list[np.ndarray], label: str) -> None:
-    scale = max(1.0, max(float(np.abs(mat).max()) for mat in family))
-    for a in range(len(family)):
-        for b in range(a + 1, len(family)):
-            comm = family[a] @ family[b] - family[b] @ family[a]
-            if np.abs(comm).max() > _SELF_COMMUTATION_ATOL * scale:
-                raise ValueError(
-                    f"{label} parts do not commute across quadrature nodes "
-                    f"(pair {a + 1}, {b + 1}); the split scheme does not apply")
-
-
 def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a split scheme, alternating exchange and field exponentials.
 
-    The exchange part is time-independent and the field part is diagonal, so
-    each family is self-commuting across the quadrature nodes; this is
-    checked numerically rather than assumed.  Zero coefficient rows (the
-    trailing sigma row) contribute identity factors and are skipped.
+    Each family commutes across the quadrature nodes by construction: the
+    exchange part is one time-independent matrix and the field part is
+    diagonal, so its exponentials are phases applied to the columns.  Zero
+    coefficient rows (the trailing sigma row) contribute identity factors
+    and are skipped.
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
-    times = node_times(scheme, t0, h)
-    t_parts = [spin_model.coupling_matrix(model) for _ in times]
-    v_parts = [spin_model.field_matrix(model, t) for t in times]
-    _check_self_commuting(t_parts, "exchange")
-    _check_self_commuting(v_parts, "field")
-    dim = model.dim
-    u = np.eye(dim, dtype=complex)
+    coupling = spin_model.coupling_matrix(model)
+    fields = [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)]
+    u = np.eye(model.dim, dtype=complex)
     for i in range(scheme.m):
         if np.abs(scheme.rho[i]).max() > 0.0:
-            exponent = sum(scheme.rho[i, k] * t_parts[k] for k in range(scheme.s))
+            exponent = sum(scheme.rho[i, k] * coupling for k in range(scheme.s))
             u = u @ expm_antihermitian(exponent, h)
         if np.abs(scheme.sigma[i]).max() > 0.0:
-            diag = sum(scheme.sigma[i, k] * np.diag(v_parts[k]) for k in range(scheme.s))
+            diag = sum(scheme.sigma[i, k] * fields[k] for k in range(scheme.s))
             u = u * np.exp(-1j * h * diag)[None, :]
     return u
 

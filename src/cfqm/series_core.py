@@ -1,298 +1,11 @@
-"""Composition combinatorics and truncated power series.
-
-Conventions
------------
-A *composition* of the integer p >= 1 is an ordered tuple of positive
-integers summing to p; it is represented here as a plain tuple, so its
-number of parts is ``len(k)`` and its total is ``sum(k)``.  There are
-2**(p-1) compositions of p.  ``compositions(p)`` lists them in
-lexicographic order with larger first parts first, e.g. for p = 3::
-
-    (3,), (2, 1), (1, 2), (1, 1, 1)
-
-A *weak composition* of d into m parts allows zero parts; there are
-binomial(d+m-1, m-1) of them.
-
-A :class:`PowerSeries` is a truncated series sum_k c_k x**k stored as a
-coefficient tuple ``(c_0, ..., c_N)``.  Arithmetic truncates to the
-shorter operand, so all returned coefficients are exact whenever the
-inputs are exact (``fractions.Fraction`` coefficients stay Fractions
-throughout; no floating point enters unless the caller puts it there).
-"""
+"""The shared stopping rule for the nonnegative tail sums of the bounds."""
 
 from __future__ import annotations
 
-import itertools
 import math
-from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
-#: Default truncation order for remainder-series work.  In the step-size
-#: regimes where the bounds converge at all, coefficients beyond x**40
-#: contribute less than 1e-16 relative, so this is a safe default cap.
-DEFAULT_ORDER = 40
-
-_COMPOSITION_CACHE_LIMIT = 14
-_composition_cache: dict[int, list[tuple[int, ...]]] = {}
-# Levels above the pinned limit are not kept in the cache dict, but the most
-# recent one is remembered (one slot) so an ascending scan over p builds each
-# level exactly once instead of re-deriving everything above the limit.
-_last_large_level: tuple[int, list[tuple[int, ...]]] | None = None
-
-
-def iter_compositions(p: int) -> Iterator[tuple[int, ...]]:
-    """Yield all compositions of p in largest-first lexicographic order.
-
-    ``p == 0`` yields the single empty composition.  The loop applies the
-    successor rule of that ordering in place (split a 1 off the last part,
-    or merge a trailing run of ones into the part before it), so the cost
-    per composition stays flat instead of growing with the recursion depth
-    of the obvious first-part/rest formulation.
-    """
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    if p == 0:
-        yield ()
-        return
-    parts = [p]
-    while True:
-        yield tuple(parts)
-        if parts[-1] > 1:
-            parts[-1] -= 1
-            parts.append(1)
-            continue
-        run = 0
-        while parts and parts[-1] == 1:
-            parts.pop()
-            run += 1
-        if not parts:
-            return
-        parts[-1] -= 1
-        parts.append(run + 1)
-
-
-def compositions(p: int) -> list[tuple[int, ...]]:
-    """All compositions of p, ordered as described in the module docstring.
-
-    Results for small p are memoized; larger lists (they grow as 2**(p-1))
-    are rebuilt on demand rather than pinned in memory.  The list is built
-    with an explicit prefix stack, which is a fair bit faster than draining
-    :func:`iter_compositions` when the caller wants everything anyway.
-    """
-    global _last_large_level
-    if p < 0:
-        raise ValueError(f"p must be >= 0, got {p}")
-    if p in _composition_cache:
-        return _composition_cache[p]
-    if _last_large_level is not None and _last_large_level[0] == p:
-        return _last_large_level[1]
-    if p == 0:
-        return [()]
-    # Doubling bijection: every composition of q is either a composition of
-    # q-1 with its first part incremented (these keep first part >= 2 and
-    # come first in the ordering) or one with a 1 prepended (first part 1,
-    # second block).  Two bulk passes per level keep this fast.
-    base = max((k for k in _composition_cache if 1 <= k <= p), default=1)
-    cur = _composition_cache.get(base, [(1,)])
-    if _last_large_level is not None and base < _last_large_level[0] <= p:
-        base, cur = _last_large_level
-    for q in range(base + 1, p + 1):
-        nxt = [(c[0] + 1,) + c[1:] for c in cur]
-        nxt.extend(map((1,).__add__, cur))
-        cur = nxt
-        if q <= _COMPOSITION_CACHE_LIMIT:
-            _composition_cache[q] = cur
-    if p <= _COMPOSITION_CACHE_LIMIT:
-        _composition_cache[p] = cur
-    else:
-        _last_large_level = (p, cur)
-    return cur
-
-
-def iter_weak_compositions(d: int, m: int) -> Iterator[tuple[int, ...]]:
-    """Yield all weak compositions of d into exactly m parts (zeros allowed)."""
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    # Stars and bars: bar positions among d + m - 1 slots.
-    for bars in itertools.combinations(range(d + m - 1), m - 1):
-        parts = []
-        prev = -1
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(d + m - 1 - prev - 1)
-        yield tuple(parts)
-
-
-def weak_composition_factorial_sum(d: int, m: int) -> Fraction:
-    """Exact value of sum over weak compositions (k_1,...,k_m) of d of
-    1 / (k_1! * ... * k_m!).
-
-    By the multinomial theorem this equals m**d / d!; the function
-    evaluates the sum by direct enumeration so the identity can be used
-    as a genuine cross-check elsewhere.
-    """
-    total = Fraction(0)
-    for parts in iter_weak_compositions(d, m):
-        denom = 1
-        for k in parts:
-            denom *= math.factorial(k)
-        total += Fraction(1, denom)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Truncated power series
-# ---------------------------------------------------------------------------
-
-
-class PowerSeries:
-    """A truncated power series with exact or floating coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence):
-        if len(coeffs) == 0:
-            raise ValueError("a power series needs at least the constant term")
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({list(self.coeffs)!r})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        if order >= self.order:
-            return self
-        return PowerSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
-
-    def scale(self, factor) -> "PowerSeries":
-        return PowerSeries([factor * c for c in self.coeffs])
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        out = [0 * (self.coeffs[0] * other.coeffs[0])] * (n + 1)
-        for i, ci in enumerate(self.coeffs[: n + 1]):
-            if ci == 0:
-                continue
-            for j in range(n + 1 - i):
-                cj = other.coeffs[j]
-                if cj != 0:
-                    out[i + j] = out[i + j] + ci * cj
-        return PowerSeries(out)
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule (no truncation error beyond the cap)."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def x_series(order: int = DEFAULT_ORDER, one=Fraction(1)) -> PowerSeries:
-    """The series x, truncated at the given order, with 1 coerced via `one`."""
-    coeffs = [0 * one] * (order + 1)
-    if order >= 1:
-        coeffs[1] = one
-    return PowerSeries(coeffs)
-
-
-def _require_zero_constant(s: PowerSeries, what: str) -> None:
-    if s.coeffs[0] != 0:
-        raise ValueError(f"{what} requires a series with zero constant term, "
-                         f"got constant {s.coeffs[0]!r}")
-
-
-def _div(value, n: int):
-    """value / n, staying exact when value is an int or Fraction."""
-    if isinstance(value, int):
-        return Fraction(value, n)
-    return value / n
-
-
-def series_exp(s: PowerSeries) -> PowerSeries:
-    """exp(S) for a truncated series S with S(0) = 0.
-
-    Uses the derivative recurrence E' = S' E, i.e.
-
-        (k+1) e_{k+1} = sum_{a=1}^{k+1} a * s_a * e_{k+1-a},
-
-    which keeps Fraction inputs exact.
-    """
-    _require_zero_constant(s, "series_exp")
-    n = s.order
-    e = [s.coeffs[0] + 1]  # one, in the coefficient arithmetic of s
-    for k in range(n):
-        acc = 0 * e[0]
-        for a in range(1, k + 2):
-            sa = s.coeffs[a]
-            if sa != 0:
-                acc = acc + a * sa * e[k + 1 - a]
-        e.append(_div(acc, k + 1))
-    return PowerSeries(e)
-
-
-def series_neg_log_one_minus(s: PowerSeries) -> PowerSeries:
-    """-log(1 - S) for a truncated series S with S(0) = 0.
-
-    Uses (1 - S) L' = S', i.e.
-
-        (k+1) l_{k+1} = (k+1) s_{k+1} + sum_{a=1}^{k} s_a (k+1-a) l_{k+1-a}.
-
-    With S = x this produces the classical sum_{k>=1} x**k / k.
-    """
-    _require_zero_constant(s, "series_neg_log_one_minus")
-    n = s.order
-    l = [0 * s.coeffs[0]]
-    for k in range(n):
-        acc = (k + 1) * s.coeffs[k + 1]
-        for a in range(1, k + 1):
-            sa = s.coeffs[a]
-            if sa != 0:
-                acc = acc + sa * (k + 1 - a) * l[k + 1 - a]
-        l.append(_div(acc, k + 1))
-    return PowerSeries(l)
-
-
-def series_geometric(s: PowerSeries) -> PowerSeries:
-    """1 / (1 - S) by long division, for S with S(0) = 0.
-
-    This is the independent route used to cross-check exponential and
-    logarithmic identities: the division recurrence
-    d_0 = 1, d_k = sum_{a=1}^{k} s_a d_{k-a} shares no code with
-    :func:`series_exp` or :func:`series_neg_log_one_minus`.
-    """
-    _require_zero_constant(s, "series_geometric")
-    n = s.order
-    d = [s.coeffs[0] + 1]
-    for k in range(1, n + 1):
-        acc = 0 * d[0]
-        for a in range(1, k + 1):
-            sa = s.coeffs[a]
-            if sa != 0:
-                acc = acc + sa * d[k - a]
-        d.append(acc)
-    return PowerSeries(d)
+from .errors import DivergentRegimeError
 
 
 def sum_tail(term: Callable[[int], float], p_start: int, rel_tol: float,
@@ -304,8 +17,6 @@ def sum_tail(term: Callable[[int], float], p_start: int, rel_tol: float,
     :class:`DivergentRegimeError` if that never happens before ``hard_cap``.
     All terms must be nonnegative.
     """
-    from .errors import DivergentRegimeError
-
     total = 0.0
     prev = math.inf
     decreasing_run = 0

@@ -15,9 +15,9 @@ Two decompositions of H(t) are provided:
   formula: bonds (2k-1, 2k) plus the odd-site fields form H_odd, bonds
   (2k, 2k+1) plus the even-site fields form H_even, so H_odd + H_even = H(t)
   exactly and each part is a direct sum of disjoint blocks.
-* ``coupling_matrix`` / ``field_matrix`` -- the time-independent exchange
-  part and the diagonal field part, each self-commuting across times, as
-  required by the split schemes.
+* ``coupling_matrix`` / ``field_diagonal`` -- the time-independent exchange
+  part and the diagonal of the field part, each self-commuting across
+  times, as required by the split schemes.
 
 Everything is dense and capped at n <= 12 spins; the cost planner never
 builds matrices and has no such limit.
@@ -141,11 +141,6 @@ def field_diagonal(model: HeisenbergModel, t: float) -> np.ndarray:
     """Diagonal of the field part (1/4n) sum cos(phi_i + omega_i t) sigma_i^z."""
     amps = np.cos(model.phases + model.freqs * t) / (4.0 * model.n)
     return amps @ _site_z_diagonals(model.n)
-
-
-def field_matrix(model: HeisenbergModel, t: float) -> np.ndarray:
-    """The field part as a dense (diagonal) matrix."""
-    return np.diag(field_diagonal(model, t))
 
 
 def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:

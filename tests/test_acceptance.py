@@ -13,9 +13,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfqm import bounds, planner, propagators, schemes, series_core, spin_model
+from cfqm import bounds, planner, propagators, schemes, spin_model
 from cfqm.planner import ModelBounds, plan
 from cfqm.schemes import SCHEME_IDS
+from oracles import (compositions, iter_weak_compositions, magnus_coeffs_dp,
+                     weak_composition_factorial_sum)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -29,12 +31,12 @@ def test_criterion_01_composition_identities():
     identities_ok = True
     for m in range(1, 7):
         for d in range(0, 11):
-            got = series_core.weak_composition_factorial_sum(d, m)
+            got = weak_composition_factorial_sum(d, m)
             identities_ok &= got == Fraction(m ** d, math.factorial(d))
     for p in range(1, 21):
-        identities_ok &= len(series_core.compositions(p)) == 2 ** (p - 1)
+        identities_ok &= len(compositions(p)) == 2 ** (p - 1)
     elapsed = time.perf_counter() - t_start
-    series_core._last_large_level = None  # drop the ~2**19-tuple level
+    compositions.cache_clear()  # drop the ~2**19-tuple level
     _verdict(1, identities_ok and elapsed < 1.0,
              f"exact identities d<=10/m<=6 and p<=20, {elapsed:.2f}s (cap 1s)")
 
@@ -43,8 +45,8 @@ def test_criterion_02_magnus_coefficient_routes_agree():
     t_start = time.perf_counter()
     worst = 0.0
     for c in (0.25, 0.5, 1.0):
-        dp = bounds._magnus_coeffs_dp(c, 25)
-        gf = bounds._magnus_coeffs_gf(c, 25)
+        dp = magnus_coeffs_dp(c, 25)
+        gf = bounds._magnus_table(c)
         for p in range(1, 26):
             worst = max(worst, abs(dp[p] - gf[p]) / gf[p])
     elapsed = time.perf_counter() - t_start
@@ -70,7 +72,7 @@ def test_criterion_03_product_remainder_closed_form():
                 Fraction(math.comb(p - 1, z - 1)) * (cbar * m) ** z
                 / math.factorial(z) for z in range(1, p + 1))
             direct = Fraction(0)
-            for parts in series_core.iter_weak_compositions(p, m):
+            for parts in iter_weak_compositions(p, m):
                 prod = Fraction(1)
                 for q in parts:
                     if q:

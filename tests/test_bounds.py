@@ -1,9 +1,8 @@
 """Per-step error bounds against independently derived oracles.
 
 The Magnus remainder coefficients and the product-vs-truncation remainder
-both get third-route checks here built on exact Fraction series from
-``series_core`` (the module itself already cross-checks two float routes
-internally; the tests below share no recurrence with either).
+are checked here against the composition DP and exact Fraction series of
+``oracles``, which share no recurrence with the closed forms in ``bounds``.
 """
 
 import math
@@ -24,7 +23,7 @@ from cfqm.bounds import (
 )
 from cfqm.errors import DivergentRegimeError, EpsilonTooLargeError
 from cfqm.schemes import compute_cbar, load_scheme
-from cfqm.series_core import PowerSeries, series_exp, series_geometric
+from oracles import PowerSeries, magnus_coeffs_dp, series_exp, series_geometric
 
 
 def _magnus_series_fractions(c: Fraction, order: int) -> PowerSeries:
@@ -36,7 +35,7 @@ def _magnus_series_fractions(c: Fraction, order: int) -> PowerSeries:
 def test_magnus_coefficients_small_orders():
     # G_1 = 2c, G_2 = c + 4c^2, G_3 = 2c/3 + 4c^2 + 8c^3
     for c in (1.0, 0.25, 0.5):
-        for coeffs in (bounds._magnus_coeffs_dp(c, 3), bounds._magnus_coeffs_gf(c, 3)):
+        for coeffs in (magnus_coeffs_dp(c, 3), bounds._magnus_table(c)):
             assert coeffs[1] == pytest.approx(2 * c, rel=1e-12)
             assert coeffs[2] == pytest.approx(c + 4 * c ** 2, rel=1e-12)
             assert coeffs[3] == pytest.approx(2 * c / 3 + 4 * c ** 2 + 8 * c ** 3,
@@ -46,9 +45,9 @@ def test_magnus_coefficients_small_orders():
 def test_magnus_coefficients_against_fraction_series():
     c = Fraction(1, 4)
     exact = _magnus_series_fractions(c, 18)
-    dp = bounds._magnus_coeffs_dp(float(c), 18)
-    for p in range(1, 19):
-        assert dp[p] == pytest.approx(float(exact.coeffs[p]), rel=1e-12)
+    for coeffs in (magnus_coeffs_dp(float(c), 18), bounds._magnus_table(float(c))):
+        for p in range(1, 19):
+            assert coeffs[p] == pytest.approx(float(exact.coeffs[p]), rel=1e-12)
 
 
 def test_magnus_remainder_matches_fraction_tail():

@@ -1,0 +1,76 @@
+"""Golden outputs: pinned sweeps and the README's ``plan`` example.
+
+The sweep CSVs under ``tests/data/`` pin every plan the bounds produce on
+a fixed grid, byte for byte, so a refactor of the bound evaluation cannot
+move a single float.  The README test runs the documented ``cfqm plan``
+command and compares its output with the README's code block, so the
+published numbers cannot go stale.
+
+After a deliberate change to the plans, regenerate the CSVs with
+``python tests/test_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import re
+import shlex
+import sys
+from pathlib import Path
+
+import pytest
+
+from cfqm import cli, planner
+from cfqm.schemes import SCHEME_IDS
+
+DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
+
+#: axis -> (grid, keyword arguments of planner.sweep)
+PINNED_SWEEPS = {
+    "time": ([1.0, 16.0, 256.0, 4096.0, 65536.0],
+             dict(epsilon=1e-3, n=128)),
+    "error": ([1e-2, 1e-5, 1e-8, 1e-11, 1e-20],
+              dict(total_time=1024.0, n=128)),
+    "spins": ([2, 8, 32, 128, 512, 2048],
+              dict(epsilon=1e-3)),
+}
+
+
+def _golden_path(axis: str) -> Path:
+    return DATA / f"sweep_{axis}.csv"
+
+
+def _run_sweep(axis: str, out: Path) -> None:
+    grid, kwargs = PINNED_SWEEPS[axis]
+    planner.sweep(axis, grid, list(SCHEME_IDS), out, **kwargs)
+
+
+@pytest.mark.parametrize("axis", sorted(PINNED_SWEEPS))
+def test_pinned_sweep_matches_golden_csv(axis, tmp_path):
+    out = tmp_path / f"{axis}.csv"
+    _run_sweep(axis, out)
+    assert out.read_bytes() == _golden_path(axis).read_bytes()
+
+
+def _readme_plan_example() -> tuple[list[str], str]:
+    """The README's ``cfqm plan`` command and the output block shown for it."""
+    text = README.read_text()
+    command = re.search(r"^cfqm (plan .*)$", text, re.MULTILINE).group(1)
+    shown = re.search(r"`plan` output is .*?\n\n```\n(.*?)```", text,
+                      re.DOTALL).group(1)
+    return shlex.split(command), shown
+
+
+def test_readme_plan_output_is_current():
+    argv, shown = _readme_plan_example()
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    assert buf.getvalue() == shown
+
+
+if __name__ == "__main__":
+    DATA.mkdir(exist_ok=True)
+    for axis in PINNED_SWEEPS:
+        _run_sweep(axis, _golden_path(axis))
+        print(f"wrote {_golden_path(axis)}", file=sys.stderr)

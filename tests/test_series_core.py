@@ -1,4 +1,5 @@
-"""Composition combinatorics and exact truncated-series arithmetic."""
+"""The shared tail-sum stopping rule, and the combinatorial and exact
+truncated-series oracles the bound tests are built on."""
 
 import math
 from fractions import Fraction
@@ -7,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfqm import series_core
 from cfqm.errors import DivergentRegimeError
-from cfqm.series_core import (
+from cfqm.series_core import sum_tail
+from oracles import (
     PowerSeries,
     compositions,
     iter_weak_compositions,
     series_exp,
     series_geometric,
     series_neg_log_one_minus,
-    sum_tail,
     weak_composition_factorial_sum,
     x_series,
 )
@@ -134,17 +134,3 @@ def test_sum_tail_rejects_divergence_and_negatives():
         sum_tail(lambda p: 1.1 ** p, 2, 1e-10, hard_cap=120)
     with pytest.raises(ValueError):
         sum_tail(lambda p: -1.0, 1, 1e-10)
-
-
-def test_composition_cache_not_used_for_large_p():
-    limit = series_core._COMPOSITION_CACHE_LIMIT
-    out = compositions(limit + 1)
-    assert (limit + 1) not in series_core._composition_cache
-    assert len(out) == 2 ** limit
-    # only the most recent large level is remembered, in the one-shot slot
-    assert series_core._last_large_level[0] == limit + 1
-    assert compositions(limit + 1) is out
-    compositions(limit + 2)
-    assert series_core._last_large_level[0] == limit + 2
-    assert (limit + 1) not in series_core._composition_cache
-    series_core._last_large_level = None
