@@ -15,6 +15,11 @@ canonical product formula with one odd-block and one even-block factor per
 stage), a split CFQM step costs 2*m (one exchange and one field factor per
 stage, structurally empty factors still occupy their slot), and the Suzuki
 yardstick is the count returned by :func:`cfqm.bounds.suzuki_step_cost`.
+The propagators merge adjacent same-block factors of the product formula
+(C B C | C B C -> C B 2C B C, see
+:func:`cfqm.propagators.product_formula_factors`), but the accounted cost
+stays m * 2 * (2 * 5**(s-1)), the convention shared with the Suzuki
+yardstick, so plans do not depend on how the steps are implemented.
 """
 
 from __future__ import annotations
@@ -121,10 +126,14 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
     is O(h^{2s+1}) or steeper), so the global bound is monotone in r and
     the minimal feasible r is found by doubling until feasible and then
     bisecting.  Step counts where the bounds' convergence guards fail are
-    treated as infeasible.  Raises :class:`InfeasiblePlanError` if no
+    treated as infeasible.  Non-finite or non-positive ``total_time`` and
+    ``epsilon`` raise ValueError.  Raises :class:`InfeasiblePlanError` if no
     r <= 2**32 works; the message distinguishes budgets the bounds can
     never certify from guards that never engaged.
     """
+    for name, value in (("total_time", total_time), ("epsilon", epsilon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if total_time <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
     if epsilon <= 0:

@@ -1,10 +1,16 @@
 """Matrix-level propagators: scheme steps, product formulas, references.
 
-All propagators act on dense Hermitian Hamiltonians and return unitaries
-for the evolution U(t0 + h, t0) with the time-ordered convention that the
-earliest factor sits rightmost.  Scheme products are indexed so that the
-i = 1 exponential is leftmost, i.e. the i = m exponential acts on the state
-first.
+All propagators return dense unitaries for the evolution U(t0 + h, t0)
+with the time-ordered convention that the earliest factor sits rightmost.
+Scheme products are indexed so that the i = 1 exponential is leftmost,
+i.e. the i = m exponential acts on the state first.
+
+The exact scheme step and the reference exponentiate dense Hamiltonians.
+The two implementable steps use the structure the model guarantees
+instead: a product-formula factor of the trotterized step is a tensor
+product of 4x4 (and end-site 2x2) gates, applied to the accumulated
+unitary one gate at a time, and the split step's exchange exponentials
+share the one cached eigenbasis of the time-independent exchange part.
 
 The reference propagator composes exact midpoint-rule micro-steps and
 halves the mesh until two consecutive refinements agree to the requested
@@ -51,19 +57,6 @@ def expm_antihermitian(h_mat: np.ndarray, tau: float) -> np.ndarray:
     return (evecs * phases) @ evecs.conj().T
 
 
-def _expm_factory(h_mat: np.ndarray):
-    """Eigendecompose once, exponentiate at many tau (used by the product
-    formula, whose stages reuse the same two Hamiltonians)."""
-    arr = _require_hermitian(h_mat)
-    evals, evecs = np.linalg.eigh(arr)
-    adjoint = evecs.conj().T
-
-    def apply(tau: float) -> np.ndarray:
-        return (evecs * np.exp(-1j * tau * evals)) @ adjoint
-
-    return apply
-
-
 def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Largest singular value of u - v."""
     return float(np.linalg.norm(u - v, ord=2))
@@ -86,27 +79,35 @@ def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     return u
 
 
+def _real_left(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """mat @ u for a real mat and a C-contiguous complex u, as one real
+    product on the interleaved (re, im) columns of u."""
+    return (mat @ u.view(float)).view(complex)
+
+
 def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a split scheme, alternating exchange and field exponentials.
 
     Each family commutes across the quadrature nodes by construction: the
-    exchange part is one time-independent matrix and the field part is
-    diagonal, so its exponentials are phases applied to the columns.  Zero
-    coefficient rows (the trailing sigma row) contribute identity factors
-    and are skipped.
+    exchange part is one time-independent matrix C = V diag(w) V^T, so
+    exp(-i h sum_k rho_ik C) = V diag(exp(-i h sum_k rho_ik w)) V^T in its
+    cached real eigenbasis, and the field part is diagonal, so its
+    exponentials are phases applied to the rows.  The factors are applied
+    to one accumulator from i = m down to 1.  Zero coefficient rows (the
+    trailing sigma row) contribute identity factors and are skipped.
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
-    coupling = spin_model.coupling_matrix(model)
+    evals, evecs = spin_model.coupling_eigh(model)
     fields = [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)]
     u = np.eye(model.dim, dtype=complex)
-    for i in range(scheme.m):
-        if np.abs(scheme.rho[i]).max() > 0.0:
-            exponent = sum(scheme.rho[i, k] * coupling for k in range(scheme.s))
-            u = u @ expm_antihermitian(exponent, h)
+    for i in reversed(range(scheme.m)):
         if np.abs(scheme.sigma[i]).max() > 0.0:
             diag = sum(scheme.sigma[i, k] * fields[k] for k in range(scheme.s))
-            u = u * np.exp(-1j * h * diag)[None, :]
+            u *= np.exp(-1j * h * diag)[:, None]
+        if np.abs(scheme.rho[i]).max() > 0.0:
+            phases = np.exp(-1j * h * scheme.rho[i].sum() * evals)
+            u = _real_left(evecs, phases[:, None] * _real_left(evecs.T, u))
     return u
 
 
@@ -161,32 +162,78 @@ def product_formula_spec(s: int) -> ProductFormulaSpec:
     return spec
 
 
+@lru_cache(maxsize=8)
+def product_formula_factors(s: int) -> tuple[tuple[int, float], ...]:
+    """The order-2s product formula as (part, coefficient) factors in the
+    order they act, part 0 being B (odd blocks) and 1 being C (even blocks).
+
+    Zero-coefficient factors are dropped and adjacent factors of the same
+    part are merged, C B C | C B C -> C B 2C B C, which is exact because a
+    part commutes with itself: 3, 11 and 51 factors at s = 1, 2, 3 instead
+    of 3, 15 and 75.  The exponential accounting of the planner still
+    counts every stage (see :func:`cfqm.planner.step_exponentials`).
+    """
+    pf = product_formula_spec(s)
+    factors: list[list] = []
+    for xi, beta in zip(pf.xi, pf.beta):
+        for part, coeff in ((0, beta), (1, xi)):
+            if coeff == 0.0:
+                continue
+            if factors and factors[-1][0] == part:
+                factors[-1][1] += coeff
+            else:
+                factors.append([part, coeff])
+    return tuple((part, coeff) for part, coeff in factors)
+
+
+def _local_gates(n: int, terms, taus: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """exp(-i tau T) for every local term T of a part and every tau.
+
+    ``terms`` is what :func:`cfqm.spin_model.local_terms` returns for a
+    batch of m parts; the result pairs each term's first site with its
+    gates, shape (m, len(taus), k, k) for a term on k = 4 or 2 levels.
+    """
+    sites, blocks, end = terms
+    gates = []
+    if sites:
+        evals, evecs = np.linalg.eigh(blocks)  # (m, bonds, 4), (m, bonds, 4, 4)
+        phases = np.exp(-1j * taus[:, None, None] * evals[:, None])
+        bond_gates = ((evecs[:, None] * phases[..., None, :])
+                      @ np.swapaxes(evecs, -1, -2)[:, None])
+        gates += [(site, bond_gates[:, :, b]) for b, site in enumerate(sites)]
+    if end is not None:
+        phases = np.exp(-1j * taus[:, None] * end[:, None])  # (m, taus, 2)
+        gates.append((n, phases[..., None, :] * np.eye(2)))
+    return gates
+
+
 def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a non-split scheme with each exponential replaced by the
-    (2s)-th order product formula over the odd/even block split."""
+    (2s)-th order product formula over the odd/even block split.
+
+    Exponential i is exp(-i h (B_i + C_i)) with B_i = sum_k z_ik H_odd(t_k)
+    and C_i likewise; each part is a sum of commuting local terms, so its
+    factors are tensor products of small gates.  Each local term is
+    eigendecomposed once per exponential, its gates are built for every
+    factor of the merged sequence at once, and the gates are applied to one
+    accumulator from i = m down to 1, stage 1 first.
+    """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
-    pf = product_formula_spec(scheme.s)
-    odd_parts = []
-    even_parts = []
-    for t in node_times(scheme, t0, h):
-        h_odd, h_even = spin_model.split_at(model, t)
-        odd_parts.append(h_odd)
-        even_parts.append(h_even)
-    dim = model.dim
+    n, dim = model.n, model.dim
+    spin_model.require_dense(n)
+    factors = product_formula_factors(scheme.s)
+    fields = scheme.z @ spin_model.field_amplitudes(model, node_times(scheme, t0, h))
+    exchange = scheme.z.sum(axis=1) / (4.0 * n)
+    taus = h * np.array([coeff for _, coeff in factors])
+    gates = [_local_gates(n, spin_model.local_terms(n, parity, exchange, fields), taus)
+             for parity in (1, 0)]  # B = odd blocks, C = even blocks
     u = np.eye(dim, dtype=complex)
-    for i in range(scheme.m):
-        b_mat = sum(scheme.z[i, k] * odd_parts[k] for k in range(scheme.s))
-        c_mat = sum(scheme.z[i, k] * even_parts[k] for k in range(scheme.s))
-        exp_b = _expm_factory(b_mat)
-        exp_c = _expm_factory(c_mat)
-        u_i = np.eye(dim, dtype=complex)
-        for xi, beta in zip(pf.xi, pf.beta):
-            if beta != 0.0:
-                u_i = exp_b(h * beta) @ u_i
-            if xi != 0.0:
-                u_i = exp_c(h * xi) @ u_i
-        u = u @ u_i
+    for i in reversed(range(scheme.m)):
+        for j, (part, _) in enumerate(factors):
+            for site, gate in gates[part]:
+                k = gate.shape[-1]
+                u = (gate[i, j] @ u.reshape(2 ** (site - 1), k, -1)).reshape(dim, dim)
     return u
 
 

@@ -11,16 +11,19 @@ up omega_i^j and the field prefactor already contributes only 1/4).
 
 Two decompositions of H(t) are provided:
 
-* ``split_at``  -- the odd/even two-site-block split used by the product
-  formula: bonds (2k-1, 2k) plus the odd-site fields form H_odd, bonds
-  (2k, 2k+1) plus the even-site fields form H_even, so H_odd + H_even = H(t)
-  exactly and each part is a direct sum of disjoint blocks.
+* ``local_terms`` / ``split_at`` -- the odd/even two-site-block split used
+  by the product formula: bonds (2k-1, 2k) plus the odd-site fields form
+  H_odd, bonds (2k, 2k+1) plus the even-site fields form H_even, so
+  H_odd + H_even = H(t) exactly.  ``local_terms`` returns a part as its
+  local Hermitian terms, the 4x4 bond blocks on disjoint site pairs plus a
+  2x2 diagonal term for the last site when it is left unpaired;
+  ``split_at`` is their dense embedding.
 * ``coupling_matrix`` / ``field_diagonal`` -- the time-independent exchange
   part and the diagonal of the field part, each self-commuting across
   times, as required by the split schemes.
 
-Everything is dense and capped at n <= 12 spins; the cost planner never
-builds matrices and has no such limit.
+Dense matrices are capped at n <= 12 spins; the cost planner never builds
+matrices and has no such limit.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ _EXCHANGE_BLOCK = np.array([[1.0, 0.0, 0.0, 0.0],
                             [0.0, -1.0, 2.0, 0.0],
                             [0.0, 2.0, -1.0, 0.0],
                             [0.0, 0.0, 0.0, 1.0]])
+# sigma^z on the left site of a pair, and the diagonal of a single sigma^z
+_LEFT_Z_BLOCK = np.diag([1.0, 1.0, -1.0, -1.0])
+_Z_DIAGONAL = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,35 +100,44 @@ def taylor_bound_c(model: HeisenbergModel) -> float:
     return max(1.0, omega_max)
 
 
-def _require_dense(n: int) -> None:
+def require_dense(n: int) -> None:
+    """Raise ValueError when a dense 2^n matrix would exceed the cap."""
     if n > MAX_DENSE_SPINS:
         raise ValueError(
             f"dense matrices are limited to n <= {MAX_DENSE_SPINS} spins, "
             f"got n={n}; use the analytic bounds for larger chains")
 
 
-def _bond_term(n: int, left_site: int) -> np.ndarray:
-    """Exchange block acting on sites (left_site, left_site + 1), 1-based."""
-    eye_left = np.eye(2 ** (left_site - 1))
-    eye_right = np.eye(2 ** (n - left_site - 1))
-    return np.kron(np.kron(eye_left, _EXCHANGE_BLOCK), eye_right)
+def _embed(n: int, site: int, block: np.ndarray) -> np.ndarray:
+    """Dense operator of ``block`` acting on the sites from ``site`` (1-based)
+    on, as many as the block spans."""
+    left = 2 ** (site - 1)
+    return np.kron(np.kron(np.eye(left), block), np.eye(2 ** n // (left * len(block))))
 
 
 @lru_cache(maxsize=8)
 def _coupling_matrix(n: int) -> np.ndarray:
-    _require_dense(n)
+    require_dense(n)
     out = np.zeros((2 ** n, 2 ** n))
     for site in range(1, n):
-        out += _bond_term(n, site)
+        out += _embed(n, site, _EXCHANGE_BLOCK)
     out /= 4.0 * n
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=8)
+def _coupling_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
+    evals, evecs = np.linalg.eigh(_coupling_matrix(n))
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return evals, evecs
+
+
+@lru_cache(maxsize=8)
 def _site_z_diagonals(n: int) -> np.ndarray:
     """Diagonals of sigma_i^z, shape (n, 2^n), entries +-1."""
-    _require_dense(n)
+    require_dense(n)
     out = np.empty((n, 2 ** n))
     base = np.array([1.0, -1.0])
     for site in range(1, n + 1):
@@ -137,10 +152,22 @@ def coupling_matrix(model: HeisenbergModel) -> np.ndarray:
     return _coupling_matrix(model.n)
 
 
+def coupling_eigh(model: HeisenbergModel) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and real orthonormal eigenvectors of
+    :func:`coupling_matrix`, computed once per chain length."""
+    return _coupling_eigh(model.n)
+
+
+def field_amplitudes(model: HeisenbergModel, times) -> np.ndarray:
+    """Per-site field amplitudes cos(phi_i + omega_i t) / (4n), shape
+    ``np.shape(times) + (n,)``."""
+    ts = np.asarray(times, dtype=float)[..., None]
+    return np.cos(model.phases + model.freqs * ts) / (4.0 * model.n)
+
+
 def field_diagonal(model: HeisenbergModel, t: float) -> np.ndarray:
     """Diagonal of the field part (1/4n) sum cos(phi_i + omega_i t) sigma_i^z."""
-    amps = np.cos(model.phases + model.freqs * t) / (4.0 * model.n)
-    return amps @ _site_z_diagonals(model.n)
+    return field_amplitudes(model, t) @ _site_z_diagonals(model.n)
 
 
 def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:
@@ -164,30 +191,49 @@ def hamiltonians_at(model: HeisenbergModel, times) -> np.ndarray:
     return out
 
 
+def local_terms(n: int, parity: int, exchange, fields):
+    """Local Hermitian terms of one part of the odd/even split.
+
+    ``parity`` 1 selects the bonds (2k-1, 2k) and the odd sites, 0 the bonds
+    (2k, 2k+1) and the even sites.  Each bond (a, a+1) carries the block
+    ``exchange * sigma.sigma + fields[a-1] * (sigma^z (x) I)``; the last
+    site n, which has no bond of its own, is in the part of its parity as
+    the diagonal ``fields[n-1] * (1, -1)``.  ``exchange`` may have shape
+    ``batch`` and ``fields`` shape ``batch + (n,)`` to build many
+    combinations of parts at once.
+
+    Returns ``(sites, blocks, end)``: the left sites of the bonds, their
+    blocks of shape ``batch + (len(sites), 4, 4)``, and the end-site
+    diagonal of shape ``batch + (2,)`` or None.  The blocks act on disjoint
+    site pairs, so they commute with each other and with the end term.
+    """
+    exchange = np.asarray(exchange, dtype=float)
+    fields = np.asarray(fields, dtype=float)
+    sites = tuple(range(2 - parity, n, 2))
+    left = fields[..., [site - 1 for site in sites]]
+    blocks = (exchange[..., None, None, None] * _EXCHANGE_BLOCK
+              + left[..., None, None] * _LEFT_Z_BLOCK)
+    end = fields[..., n - 1, None] * _Z_DIAGONAL if n % 2 == parity else None
+    return sites, blocks, end
+
+
 def split_at(model: HeisenbergModel, t: float) -> tuple[np.ndarray, np.ndarray]:
     """The odd/even two-site-block split (H_odd, H_even) at time t.
 
-    H_odd collects bonds starting at odd sites plus all odd-site fields,
-    H_even the remaining bonds plus all even-site fields; the two sum to
-    ``hamiltonian_at(model, t)`` exactly and each part is a direct sum of
-    blocks with disjoint support.
+    Each part is the dense embedding of its :func:`local_terms`; the two
+    sum to ``hamiltonian_at(model, t)``.
     """
     n = model.n
-    _require_dense(n)
-    dim = model.dim
-    idx = np.arange(dim)
-    amps = np.cos(model.phases + model.freqs * t) / (4.0 * n)
-    site_z = _site_z_diagonals(n)
+    require_dense(n)
+    fields = field_amplitudes(model, t)
     parts = []
     for parity in (1, 0):  # odd sites first
-        part = np.zeros((dim, dim))
-        for site in range(1, n):
-            if site % 2 == parity:
-                part += _bond_term(n, site)
-        part /= 4.0 * n
-        for site in range(1, n + 1):
-            if site % 2 == parity:
-                part[idx, idx] += amps[site - 1] * site_z[site - 1]
+        sites, blocks, end = local_terms(n, parity, 1.0 / (4.0 * n), fields)
+        part = np.zeros((model.dim, model.dim))
+        for site, block in zip(sites, blocks):
+            part += _embed(n, site, block)
+        if end is not None:
+            part += _embed(n, n, np.diag(end))
         parts.append(part)
     return parts[0], parts[1]
 

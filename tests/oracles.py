@@ -1,9 +1,13 @@
-"""Independent routes to the identities behind the closed-form bounds.
+"""Independent routes to the identities behind the closed-form bounds and
+the structured propagators.
 
 ``cfqm.bounds`` evaluates each bound by its closed form only.  The helpers
 here rebuild the same quantities by other means (enumeration, exact
 ``Fraction`` series, a composition dynamic program) so the tests can pin
-the closed forms against them.  None of this is used at run time.
+the closed forms against them.  Likewise :func:`dense_trotterized_step`
+runs the product formula with dense d x d exponentials of the split
+parts, the route the local-gate propagator replaces.  None of this is
+used at run time.
 
 A *composition* of p >= 1 is an ordered tuple of positive integers summing
 to p; there are 2**(p-1) of them.  A *weak composition* of d into m parts
@@ -21,6 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
+
+import numpy as np
+
+from cfqm import spin_model
+from cfqm.propagators import (
+    _require_hermitian,
+    expm_antihermitian,
+    node_times,
+    product_formula_spec,
+)
 
 
 @lru_cache(maxsize=1)
@@ -164,3 +178,63 @@ def magnus_coeffs_dp(c: float, pmax: int) -> list[float]:
     for p in range(1, pmax + 1):
         out[p] = sum(big_f[z][p] / math.factorial(z) for z in range(1, p + 1))
     return out
+
+
+def _expm_factory(h_mat: np.ndarray):
+    """Eigendecompose once, exponentiate at many tau (used by the product
+    formula, whose stages reuse the same two Hamiltonians)."""
+    arr = _require_hermitian(h_mat)
+    evals, evecs = np.linalg.eigh(arr)
+    adjoint = evecs.conj().T
+
+    def apply(tau: float) -> np.ndarray:
+        return (evecs * np.exp(-1j * tau * evals)) @ adjoint
+
+    return apply
+
+
+def dense_trotterized_step(scheme, model, t0: float, h: float) -> np.ndarray:
+    """One step of a non-split scheme with each exponential replaced by the
+    (2s)-th order product formula over the odd/even block split, with
+    dense exponentials of the summed parts and one factor per stage."""
+    if scheme.is_split:
+        raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
+    pf = product_formula_spec(scheme.s)
+    odd_parts = []
+    even_parts = []
+    for t in node_times(scheme, t0, h):
+        h_odd, h_even = spin_model.split_at(model, t)
+        odd_parts.append(h_odd)
+        even_parts.append(h_even)
+    dim = model.dim
+    u = np.eye(dim, dtype=complex)
+    for i in range(scheme.m):
+        b_mat = sum(scheme.z[i, k] * odd_parts[k] for k in range(scheme.s))
+        c_mat = sum(scheme.z[i, k] * even_parts[k] for k in range(scheme.s))
+        exp_b = _expm_factory(b_mat)
+        exp_c = _expm_factory(c_mat)
+        u_i = np.eye(dim, dtype=complex)
+        for xi, beta in zip(pf.xi, pf.beta):
+            if beta != 0.0:
+                u_i = exp_b(h * beta) @ u_i
+            if xi != 0.0:
+                u_i = exp_c(h * xi) @ u_i
+        u = u @ u_i
+    return u
+
+
+def per_factor_split_step(scheme, model, t0: float, h: float) -> np.ndarray:
+    """One step of a split scheme with a dense exponential of every
+    exchange exponent sum_k rho_ik C, each eigendecomposed anew, and the
+    factors accumulated on the right."""
+    coupling = spin_model.coupling_matrix(model)
+    fields = [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)]
+    u = np.eye(model.dim, dtype=complex)
+    for i in range(scheme.m):
+        if np.abs(scheme.rho[i]).max() > 0.0:
+            exponent = sum(scheme.rho[i, k] * coupling for k in range(scheme.s))
+            u = u @ expm_antihermitian(exponent, h)
+        if np.abs(scheme.sigma[i]).max() > 0.0:
+            diag = sum(scheme.sigma[i, k] * fields[k] for k in range(scheme.s))
+            u = u * np.exp(-1j * h * diag)[None, :]
+    return u

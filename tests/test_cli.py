@@ -100,3 +100,29 @@ def test_argparse_rejects_unknown_axis(capsys):
         cli.main(["sweep", "--axis", "sideways", "--grid", "1", "--scheme",
                   "CF2-1", "--eps", "1e-3", "--spins", "4", "--out", "x.csv"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flag,value,name", [
+    ("--time", "nan", "total_time"),
+    ("--time", "inf", "total_time"),
+    ("--eps", "inf", "epsilon"),
+    ("--eps", "nan", "epsilon"),
+])
+def test_plan_rejects_non_finite_inputs(capsys, flag, value, name):
+    args = {"--time": "8", "--eps": "1e-3"}
+    args[flag] = value
+    rc = cli.main(["plan", "--scheme", "CF4-2", "--spins", "8",
+                   "--time", args["--time"], "--eps", args["--eps"]])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {name} must be finite, got {value}\n"
+
+
+def test_sweep_rejects_non_finite_budget(tmp_path, capsys):
+    rc = cli.main(["sweep", "--axis", "time", "--grid", "1,2", "--scheme",
+                   "CF2-1", "--spins", "4", "--eps", "nan",
+                   "--out", str(tmp_path / "x.csv")])
+    assert rc != 0
+    assert capsys.readouterr().err == (
+        "error: ValueError: epsilon must be finite, got nan\n")

@@ -147,3 +147,11 @@ def test_validation_report_flags_ratio_above_one():
     assert not report.ok
     assert report.max_ratio == pytest.approx(2.0)
     assert math.isnan(planner.ValidationReport("CF2-1", 2, 0, ()).max_ratio)
+
+
+def test_plan_rejects_non_finite_inputs():
+    mb = ModelBounds(c=1.0, n=4)
+    for total_time, epsilon in ((math.nan, 1e-3), (math.inf, 1e-3),
+                                (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            plan(_scheme("CF2-1"), mb, total_time, epsilon)

@@ -12,6 +12,7 @@ from cfqm.propagators import (
     expm_antihermitian,
     midpoint_step,
     node_times,
+    product_formula_factors,
     product_formula_spec,
     reference_propagator,
     spectral_distance,
@@ -19,6 +20,7 @@ from cfqm.propagators import (
     trotterized_cfqm_step,
 )
 from cfqm.spin_model import HeisenbergModel, random_model
+from oracles import dense_trotterized_step, per_factor_split_step
 
 
 def test_expm_antihermitian_pauli_x_closed_form():
@@ -84,6 +86,14 @@ def test_step_dispatch_guards():
         split_step(schemes.load_scheme("CF4-2"), model, 0.0, 0.1)
     with pytest.raises(ValueError):
         trotterized_cfqm_step(schemes.load_scheme("GS6-4"), model, 0.0, 0.1)
+
+
+def test_structured_steps_keep_the_dense_cap():
+    big = random_model(spin_model.MAX_DENSE_SPINS + 1, seed=0)
+    with pytest.raises(ValueError, match="dense matrices"):
+        trotterized_cfqm_step(schemes.load_scheme("CF4-2"), big, 0.0, 0.1)
+    with pytest.raises(ValueError, match="dense matrices"):
+        split_step(schemes.load_scheme("GS6-4"), big, 0.0, 0.1)
 
 
 def test_trotter_defect_shrinks_at_third_order():
@@ -168,3 +178,42 @@ def test_evolve_validation_and_scheme_dispatch():
         evolve(model, 0.0, -0.5, 2, "midpoint")
     with pytest.raises(ValueError):
         evolve(model, 0.0, 0.5, 2, "not-a-method")
+
+
+@pytest.mark.parametrize("scheme_id", ["CF2-1", "CF4-2", "CF4-3", "CF6-5", "CF6-6"])
+def test_trotterized_step_matches_dense_oracle(scheme_id):
+    # n = 2..8 (CF6-* up to 7) puts the unpaired last site in the odd part
+    # for odd n and in the even part for even n
+    scheme = schemes.load_scheme(scheme_id)
+    top = 7 if scheme_id.startswith("CF6") else 8
+    for n in range(2, top + 1):
+        for seed in (1, 2):
+            model = random_model(n, seed=seed)
+            for h in (0.1, 0.6):
+                t0 = 0.7 * seed
+                dist = spectral_distance(trotterized_cfqm_step(scheme, model, t0, h),
+                                         dense_trotterized_step(scheme, model, t0, h))
+                assert dist <= 1e-12, (n, seed, h, dist)
+
+
+def test_product_formula_factors_merge_same_block_neighbours():
+    for s, length in ((1, 3), (2, 11), (3, 51)):
+        factors = product_formula_factors(s)
+        assert len(factors) == length
+        parts = [part for part, _ in factors]
+        assert all(a != b for a, b in zip(parts, parts[1:]))
+        for part in (0, 1):
+            total = sum(coeff for p, coeff in factors if p == part)
+            assert total == pytest.approx(1.0, abs=1e-13)
+    assert product_formula_factors(1) == ((1, 0.5), (0, 1.0), (1, 0.5))
+
+
+@pytest.mark.parametrize("scheme_id", ["GS6-4", "GS10-6"])
+def test_split_step_matches_per_factor_exponentials(scheme_id):
+    scheme = schemes.load_scheme(scheme_id)
+    for n in range(2, 9):
+        model = random_model(n, seed=20 + n)
+        for t0, h in ((0.3, 0.1), (2.2, 0.6)):
+            dist = spectral_distance(split_step(scheme, model, t0, h),
+                                     per_factor_split_step(scheme, model, t0, h))
+            assert dist <= 1e-12, (n, t0, h, dist)

@@ -153,3 +153,27 @@ def test_coupling_matrix_cache_is_write_protected():
     mat = spin_model.coupling_matrix(random_model(3, seed=0))
     with pytest.raises(ValueError):
         mat[0, 0] = 123.0
+
+
+def test_split_is_the_dense_embedding_of_local_terms():
+    for n in range(2, 8):
+        model = random_model(n, seed=30 + n)
+        t = 1.1
+        fields = spin_model.field_amplitudes(model, t)
+        parts = []
+        for parity in (1, 0):
+            sites, blocks, end = spin_model.local_terms(n, parity, 1.0 / (4 * n), fields)
+            assert sites == tuple(range(2 - parity, n, 2))
+            assert (end is not None) == (n % 2 == parity)
+            part = np.zeros((2 ** n, 2 ** n))
+            for site, block in zip(sites, blocks):
+                part += np.kron(np.kron(np.eye(2 ** (site - 1)), block),
+                                np.eye(2 ** (n - site - 1)))
+            if end is not None:
+                part += np.kron(np.eye(2 ** (n - 1)), np.diag(end))
+            parts.append(part)
+        h_odd, h_even = split_at(model, t)
+        assert np.array_equal(h_odd, parts[0])
+        assert np.array_equal(h_even, parts[1])
+        assert h_odd + h_even == pytest.approx(hamiltonian_at(model, t), abs=1e-15)
+
