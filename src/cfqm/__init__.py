@@ -13,7 +13,6 @@ from .bounds import (
 from .planner import ModelBounds, Plan, plan, sweep, validate
 from .propagators import (
     cfqm_step,
-    evolve,
     reference_propagator,
     spectral_distance,
     split_step,
@@ -49,7 +48,6 @@ __all__ = [
     "cfqm_remainder",
     "cfqm_step",
     "compute_cbar",
-    "evolve",
     "hamiltonian_at",
     "load_model",
     "load_scheme",

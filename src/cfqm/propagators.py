@@ -5,9 +5,13 @@ with the time-ordered convention that the earliest factor sits rightmost.
 Scheme products are indexed so that the i = 1 exponential is leftmost,
 i.e. the i = m exponential acts on the state first.
 
-The exact scheme step and the reference exponentiate dense Hamiltonians.
-The two implementable steps use the structure the model guarantees
-instead: a product-formula factor of the trotterized step is a tensor
+On this model H(t) = C + D(t) with C the constant exchange part and D(t)
+diagonal, so a scheme exponent sum_k z_ik H(t_k) is (sum_k z_ik) C plus a
+diagonal: every step starts from these per-exponential exchange and field
+weights.  The exact scheme step builds its dense exponents from them with
+:func:`cfqm.spin_model.dense_generators`, and it and the reference share
+one eigh kernel.  The two implementable steps use the structure further:
+a product-formula factor of the trotterized step is a tensor
 product of 4x4 (and end-site 2x2) gates, applied to the accumulated
 unitary one gate at a time, and the split step's exchange exponentials
 share the one cached eigenbasis of the time-independent exchange part.
@@ -20,8 +24,6 @@ measured against it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,25 +38,12 @@ _EIGH_BATCH_ENTRIES = 1 << 22
 #: Mesh-size cap for the reference propagator.
 _REFERENCE_MAX_STEPS = 2 ** 20
 
-_HERMITICITY_RTOL = 1e-12
 
-
-def _require_hermitian(mat: np.ndarray) -> np.ndarray:
-    arr = np.asarray(mat)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    scale = max(1.0, float(np.abs(arr).max()))
-    if np.abs(arr - arr.conj().T).max() > _HERMITICITY_RTOL * scale:
-        raise ValueError("matrix is not Hermitian")
-    return arr
-
-
-def expm_antihermitian(h_mat: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i tau H) for Hermitian H, via eigendecomposition."""
-    arr = _require_hermitian(h_mat)
-    evals, evecs = np.linalg.eigh(arr)
+def _expm(generators: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i tau H) for a real symmetric H or a stack of them, via eigh."""
+    evals, evecs = np.linalg.eigh(generators)
     phases = np.exp(-1j * tau * evals)
-    return (evecs * phases) @ evecs.conj().T
+    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
 def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -67,15 +56,21 @@ def node_times(scheme, t0: float, h: float) -> np.ndarray:
     return t0 + h / 2.0 + scheme.nodes * h / 2.0
 
 
+def _exponent_weights(scheme, model, t0: float, h: float):
+    """Exchange and field weights of the m exponents: exponent i is
+    exchange[i] * C + diag(fields[i] . sigma^z), i.e. sum_k z_ik H(t_k)."""
+    amplitudes = spin_model.field_amplitudes(model, node_times(scheme, t0, h))
+    return scheme.z.sum(axis=1), scheme.z @ amplitudes
+
+
 def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a non-split scheme with exact exponentials."""
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; use split_step")
-    h_nodes = [spin_model.hamiltonian_at(model, t) for t in node_times(scheme, t0, h)]
+    exchange, fields = _exponent_weights(scheme, model, t0, h)
     u = np.eye(model.dim, dtype=complex)
     for i in range(scheme.m):
-        exponent = sum(scheme.z[i, k] * h_nodes[k] for k in range(scheme.s))
-        u = u @ expm_antihermitian(exponent, h)
+        u = u @ _expm(spin_model.dense_generators(model, exchange[i], fields[i]), h)
     return u
 
 
@@ -111,30 +106,11 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class ProductFormulaSpec:
-    """Stage coefficients of the canonical (2s)-th order product formula.
-
-    The formula for H = B + C is the product over stages, applied in order
-    (stage 1 acts first), of exp(-i t xi_k C) exp(-i t beta_k B).  The
-    standard recursion gives 2 * 5^(s-1) stages with coefficient sums equal
-    to 1 and magnitudes bounded by 1.
-    """
-
-    s: int
-    xi: tuple[float, ...]
-    beta: tuple[float, ...]
-
-    @property
-    def order(self) -> int:
-        return 2 * self.s
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.xi)
-
-
 def _suzuki_stages(s: int) -> list[tuple[float, float]]:
+    """Stage coefficients (xi_k, beta_k) of the canonical (2s)-th order
+    product formula for H = B + C: the product over stages, stage 1 acting
+    first, of exp(-i t xi_k C) exp(-i t beta_k B), by the standard
+    recursion (2 * 5^(s-1) stages)."""
     if s == 1:
         return [(0.5, 0.0), (0.5, 1.0)]
     prev = _suzuki_stages(s - 1)
@@ -143,23 +119,6 @@ def _suzuki_stages(s: int) -> list[tuple[float, float]]:
     for factor in (u, u, 1.0 - 4.0 * u, u, u):
         out.extend((xi * factor, beta * factor) for xi, beta in prev)
     return out
-
-
-@lru_cache(maxsize=8)
-def product_formula_spec(s: int) -> ProductFormulaSpec:
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    stages = _suzuki_stages(s)
-    xi = tuple(stage[0] for stage in stages)
-    beta = tuple(stage[1] for stage in stages)
-    spec = ProductFormulaSpec(s=s, xi=xi, beta=beta)
-    if spec.num_stages != 2 * 5 ** (s - 1):
-        raise AssertionError(f"stage count {spec.num_stages} at s={s}")
-    if abs(sum(xi) - 1.0) > 1e-13 or abs(sum(beta) - 1.0) > 1e-13:
-        raise AssertionError(f"stage sums off at s={s}: {sum(xi)}, {sum(beta)}")
-    if max(map(abs, xi + beta)) > 1.0 + 1e-12:
-        raise AssertionError(f"stage coefficient above 1 at s={s}")
-    return spec
 
 
 @lru_cache(maxsize=8)
@@ -173,9 +132,8 @@ def product_formula_factors(s: int) -> tuple[tuple[int, float], ...]:
     of 3, 15 and 75.  The exponential accounting of the planner still
     counts every stage (see :func:`cfqm.planner.step_exponentials`).
     """
-    pf = product_formula_spec(s)
     factors: list[list] = []
-    for xi, beta in zip(pf.xi, pf.beta):
+    for xi, beta in _suzuki_stages(s):
         for part, coeff in ((0, beta), (1, xi)):
             if coeff == 0.0:
                 continue
@@ -215,25 +173,28 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     and C_i likewise; each part is a sum of commuting local terms, so its
     factors are tensor products of small gates.  Each local term is
     eigendecomposed once per exponential, its gates are built for every
-    factor of the merged sequence at once, and the gates are applied to one
-    accumulator from i = m down to 1, stage 1 first.
+    factor of the merged sequence at once, and the gates are applied to the
+    accumulated unitary from i = m down to 1, stage 1 first.
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
     n, dim = model.n, model.dim
     spin_model.require_dense(n)
     factors = product_formula_factors(scheme.s)
-    fields = scheme.z @ spin_model.field_amplitudes(model, node_times(scheme, t0, h))
-    exchange = scheme.z.sum(axis=1) / (4.0 * n)
+    exchange, fields = _exponent_weights(scheme, model, t0, h)
+    exchange = exchange / (4.0 * n)
     taus = h * np.array([coeff for _, coeff in factors])
     gates = [_local_gates(n, spin_model.local_terms(n, parity, exchange, fields), taus)
              for parity in (1, 0)]  # B = odd blocks, C = even blocks
+    # two buffers written in turn: a fresh d x d array per gate costs page faults
     u = np.eye(dim, dtype=complex)
+    spare = np.empty_like(u)
     for i in reversed(range(scheme.m)):
         for j, (part, _) in enumerate(factors):
             for site, gate in gates[part]:
-                k = gate.shape[-1]
-                u = (gate[i, j] @ u.reshape(2 ** (site - 1), k, -1)).reshape(dim, dim)
+                shape = (2 ** (site - 1), gate.shape[-1], -1)
+                np.matmul(gate[i, j], u.reshape(shape), out=spare.reshape(shape))
+                u, spare = spare, u
     return u
 
 
@@ -271,10 +232,7 @@ def _midpoint_product(model, t0: float, t1: float, num_steps: int) -> np.ndarray
     u = np.eye(model.dim, dtype=complex)
     for start in range(0, num_steps, chunk_size):
         chunk = mids[start:start + chunk_size]
-        h_batch = spin_model.hamiltonians_at(model, chunk)
-        evals, evecs = np.linalg.eigh(h_batch)
-        phases = np.exp(-1j * h_micro * evals)
-        steps = (evecs * phases[:, None, :]) @ np.swapaxes(evecs.conj(), 1, 2)
+        steps = _expm(spin_model.hamiltonians_at(model, chunk), h_micro)
         u = _reunitarize(_tree_product(steps) @ u)
     return u
 
@@ -327,36 +285,3 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
         _REFERENCE_CACHE.pop(next(iter(_REFERENCE_CACHE)))
     _REFERENCE_CACHE[key] = result
     return result
-
-
-def midpoint_step(model, t0: float, h: float) -> np.ndarray:
-    """One exact midpoint-rule step exp(-i h H(t0 + h/2))."""
-    return expm_antihermitian(spin_model.hamiltonian_at(model, t0 + h / 2.0), h)
-
-
-def evolve(model, t0: float, total_time: float, steps: int, method: str,
-           scheme=None) -> np.ndarray:
-    """Propagate over [t0, t0 + total_time] in ``steps`` equal steps.
-
-    ``method`` is one of 'midpoint', 'cfqm', 'trotterized-cfqm' or 'split';
-    all but 'midpoint' require a matching scheme.
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if total_time <= 0:
-        raise ValueError(f"total_time must be positive, got {total_time}")
-    step_fns = {
-        "midpoint": lambda t, h: midpoint_step(model, t, h),
-        "cfqm": lambda t, h: cfqm_step(scheme, model, t, h),
-        "trotterized-cfqm": lambda t, h: trotterized_cfqm_step(scheme, model, t, h),
-        "split": lambda t, h: split_step(scheme, model, t, h),
-    }
-    if method not in step_fns:
-        raise ValueError(f"unknown method {method!r}; pick from {sorted(step_fns)}")
-    if method != "midpoint" and scheme is None:
-        raise ValueError(f"method {method!r} requires a scheme")
-    h = total_time / steps
-    u = np.eye(model.dim, dtype=complex)
-    for k in range(steps):
-        u = step_fns[method](t0 + k * h, h) @ u
-    return u

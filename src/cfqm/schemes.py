@@ -35,6 +35,7 @@ bound are recovered through Q^{-1}.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -150,20 +151,14 @@ def xbar(y_row: np.ndarray, j: int) -> float:
     return float(sum(row[g] * _t_entry(g, j) for g in range(row.size)))
 
 
-def _xbar_tail_bound(y_rows: np.ndarray, j: int) -> float:
-    """max_i sum_g |y_{i,g}| |T[g, j']| <= (2^(1-j)/j) max_i sum_g |y_{i,g}|
-    for every j' >= j (the bound is decreasing in j)."""
-    biggest_row = float(np.abs(y_rows).sum(axis=1).max())
-    return 2.0 ** (1 - j) / j * biggest_row
-
-
 def compute_cbar(scheme: "CFQMScheme", c: float) -> float:
     """The constant cbar = c * max_{i,j} |xbar_{i,j}| entering the
     product-vs-truncation bound, maximized over all j >= 1.
 
-    The scan runs j = 1..4s and is then extended until the analytic tail
-    bound on the remaining |xbar| values drops below the current maximum,
-    so the result is certified rather than truncated.
+    The scan covers j = 1..jmax with jmax = 4s, doubled until the analytic
+    tail bound |xbar_{i,j}| <= (2^(1-j)/j) max_i sum_g |y_{i,g}| for every
+    j > jmax drops below the current maximum, so the result is certified
+    rather than truncated.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
@@ -171,18 +166,14 @@ def compute_cbar(scheme: "CFQMScheme", c: float) -> float:
         rows = np.vstack([scheme.y_rho, scheme.y_sigma])
     else:
         rows = scheme.y
-    best = 0.0
-    j_scanned = 0
-    j_limit = 4 * scheme.s
+    biggest_row = float(np.abs(rows).sum(axis=1).max())
+    jmax = 4 * scheme.s
     while True:
-        for j in range(j_scanned + 1, j_limit + 1):
-            for i in range(rows.shape[0]):
-                best = max(best, abs(xbar(rows[i], j)))
-        j_scanned = j_limit
-        if _xbar_tail_bound(rows, j_scanned + 1) <= best:
-            break
-        j_limit = 2 * j_scanned
-    return c * best
+        xbars = (rows[:, :, None] * t_matrix(scheme.s, jmax)).sum(axis=1)
+        best = float(np.abs(xbars).max())
+        if 2.0 ** -jmax / (jmax + 1) * biggest_row <= best:
+            return c * best
+        jmax *= 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,11 +354,16 @@ def verify_order(scheme: CFQMScheme, model, h_grid, t0: float = 0.0,
     log(error) against log(h) is fit by least squares.  Raises
     :class:`GridTooFineError` when any error sits below 1e-13 (roundoff
     floor, no slope is trustworthy) and :class:`AsymptoticRegimeError` when
-    the errors fail to increase monotonically with h.
+    the errors fail to increase monotonically with h.  A non-finite ``t0``
+    or step size raises ValueError before any matrix is built.
     """
     from . import propagators
 
     hs = np.sort(np.asarray(h_grid, dtype=float))
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    if not np.all(np.isfinite(hs)):
+        raise ValueError(f"step sizes must be finite, got {list(map(float, h_grid))}")
     if hs.size < 2:
         raise ValueError("need at least two grid points")
     if hs[0] <= 0:

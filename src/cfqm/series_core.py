@@ -15,8 +15,11 @@ def sum_tail(term: Callable[[int], float], p_start: int, rel_tol: float,
     Stops once the last term is below ``rel_tol`` times the running sum
     *and* the terms have decreased for three consecutive orders; raises
     :class:`DivergentRegimeError` if that never happens before ``hard_cap``.
-    All terms must be nonnegative.
+    All terms must be nonnegative and ``rel_tol`` must lie in [0, 1);
+    anything else, NaN included, raises ValueError.
     """
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be in [0, 1), got {rel_tol}")
     total = 0.0
     prev = math.inf
     decreasing_run = 0

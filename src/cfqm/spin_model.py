@@ -22,6 +22,13 @@ Two decompositions of H(t) are provided:
   part and the diagonal of the field part, each self-commuting across
   times, as required by the split schemes.
 
+Every dense generator the propagators exponentiate has the form
+``a * C + diag(f . sigma^z)``: H(t) itself (a = 1, f the field amplitudes
+at t) and each CFQM exponent sum_k z_ik H(t_k) (a = sum_k z_ik, f the
+same weighted sum of amplitudes).  ``dense_generators`` builds any batch
+of them from those weights, and ``hamiltonian_at`` / ``hamiltonians_at``
+are its unit-exchange cases.
+
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
 matrices and has no such limit.
 """
@@ -170,25 +177,26 @@ def field_diagonal(model: HeisenbergModel, t: float) -> np.ndarray:
     return field_amplitudes(model, t) @ _site_z_diagonals(model.n)
 
 
+def dense_generators(model: HeisenbergModel, exchange, fields) -> np.ndarray:
+    """Dense ``exchange * C + diag(fields . sigma^z)`` with C the exchange
+    part :func:`coupling_matrix`, for ``exchange`` of shape ``batch`` and
+    per-site ``fields`` (as :func:`field_amplitudes` returns them) of shape
+    ``batch + (n,)``; the result has shape ``batch + (2^n, 2^n)``."""
+    out = np.asarray(exchange, dtype=float)[..., None, None] * _coupling_matrix(model.n)
+    idx = np.arange(model.dim)
+    out[..., idx, idx] += fields @ _site_z_diagonals(model.n)
+    return out
+
+
 def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:
     """Dense H(t), a real symmetric matrix of dimension 2^n."""
-    out = _coupling_matrix(model.n).copy()
-    idx = np.arange(model.dim)
-    out[idx, idx] += field_diagonal(model, t)
-    return out
+    return dense_generators(model, 1.0, field_amplitudes(model, t))
 
 
 def hamiltonians_at(model: HeisenbergModel, times) -> np.ndarray:
     """Stack of dense H(t) over ``times``, shape (len(times), 2^n, 2^n)."""
     ts = np.asarray(times, dtype=float).ravel()
-    coupling = _coupling_matrix(model.n)
-    amps = np.cos(model.phases[:, None] + model.freqs[:, None] * ts[None, :]) \
-        / (4.0 * model.n)
-    diags = amps.T @ _site_z_diagonals(model.n)
-    out = np.broadcast_to(coupling, (ts.size,) + coupling.shape).copy()
-    idx = np.arange(model.dim)
-    out[:, idx, idx] += diags
-    return out
+    return dense_generators(model, np.ones(ts.size), field_amplitudes(model, ts))
 
 
 def local_terms(n: int, parity: int, exchange, fields):

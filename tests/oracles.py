@@ -4,10 +4,12 @@ the structured propagators.
 ``cfqm.bounds`` evaluates each bound by its closed form only.  The helpers
 here rebuild the same quantities by other means (enumeration, exact
 ``Fraction`` series, a composition dynamic program) so the tests can pin
-the closed forms against them.  Likewise :func:`dense_trotterized_step`
+the closed forms against them.  Likewise :func:`dense_cfqm_step` sums
+dense node Hamiltonians into each exponent, :func:`dense_trotterized_step`
 runs the product formula with dense d x d exponentials of the split
-parts, the route the local-gate propagator replaces.  None of this is
-used at run time.
+parts, and :func:`scalar_compute_cbar` scans the xbar coefficients one
+(i, j) at a time: the routes the runtime's weight-built exponents, local
+gates and vectorised scan replace.  None of this is used at run time.
 
 A *composition* of p >= 1 is an ordered tuple of positive integers summing
 to p; there are 2**(p-1) of them.  A *weak composition* of d into m parts
@@ -29,12 +31,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cfqm import spin_model
-from cfqm.propagators import (
-    _require_hermitian,
-    expm_antihermitian,
-    node_times,
-    product_formula_spec,
-)
+from cfqm.propagators import _suzuki_stages, node_times
+from cfqm.schemes import xbar
 
 
 @lru_cache(maxsize=1)
@@ -180,11 +178,50 @@ def magnus_coeffs_dp(c: float, pmax: int) -> list[float]:
     return out
 
 
+def scalar_compute_cbar(scheme, c: float) -> float:
+    """cbar = c * max_{i,j} |xbar_{i,j}| by a scalar scan over j = 1..4s,
+    extended by doubling until the tail bound (2^(1-j)/j) max_i sum_g
+    |y_{i,g}| for the unscanned j drops below the current maximum."""
+    rows = np.vstack([scheme.y_rho, scheme.y_sigma]) if scheme.is_split else scheme.y
+    biggest_row = float(np.abs(rows).sum(axis=1).max())
+    best = 0.0
+    j_scanned = 0
+    j_limit = 4 * scheme.s
+    while True:
+        for j in range(j_scanned + 1, j_limit + 1):
+            for i in range(rows.shape[0]):
+                best = max(best, abs(xbar(rows[i], j)))
+        j_scanned = j_limit
+        if 2.0 ** (1 - (j_scanned + 1)) / (j_scanned + 1) * biggest_row <= best:
+            break
+        j_limit = 2 * j_scanned
+    return c * best
+
+
+def expm_antihermitian(h_mat: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i tau H) for Hermitian H, via eigendecomposition."""
+    evals, evecs = np.linalg.eigh(h_mat)
+    phases = np.exp(-1j * tau * evals)
+    return (evecs * phases) @ evecs.conj().T
+
+
+def dense_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
+    """One step of a non-split scheme with exact exponentials, each exponent
+    summed from the dense node Hamiltonians."""
+    if scheme.is_split:
+        raise ValueError(f"{scheme.scheme_id} is a split scheme; use split_step")
+    h_nodes = [spin_model.hamiltonian_at(model, t) for t in node_times(scheme, t0, h)]
+    u = np.eye(model.dim, dtype=complex)
+    for i in range(scheme.m):
+        exponent = sum(scheme.z[i, k] * h_nodes[k] for k in range(scheme.s))
+        u = u @ expm_antihermitian(exponent, h)
+    return u
+
+
 def _expm_factory(h_mat: np.ndarray):
     """Eigendecompose once, exponentiate at many tau (used by the product
     formula, whose stages reuse the same two Hamiltonians)."""
-    arr = _require_hermitian(h_mat)
-    evals, evecs = np.linalg.eigh(arr)
+    evals, evecs = np.linalg.eigh(h_mat)
     adjoint = evecs.conj().T
 
     def apply(tau: float) -> np.ndarray:
@@ -199,7 +236,7 @@ def dense_trotterized_step(scheme, model, t0: float, h: float) -> np.ndarray:
     dense exponentials of the summed parts and one factor per stage."""
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
-    pf = product_formula_spec(scheme.s)
+    stages = _suzuki_stages(scheme.s)
     odd_parts = []
     even_parts = []
     for t in node_times(scheme, t0, h):
@@ -214,7 +251,7 @@ def dense_trotterized_step(scheme, model, t0: float, h: float) -> np.ndarray:
         exp_b = _expm_factory(b_mat)
         exp_c = _expm_factory(c_mat)
         u_i = np.eye(dim, dtype=complex)
-        for xi, beta in zip(pf.xi, pf.beta):
+        for xi, beta in stages:
             if beta != 0.0:
                 u_i = exp_b(h * beta) @ u_i
             if xi != 0.0:

@@ -126,3 +126,44 @@ def test_sweep_rejects_non_finite_budget(tmp_path, capsys):
     assert rc != 0
     assert capsys.readouterr().err == (
         "error: ValueError: epsilon must be finite, got nan\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "10"])
+def test_plan_rejects_invalid_rel_tol(capsys, value):
+    rc = cli.main(["plan", "--scheme", "CF4-2", "--time", "1024", "--spins",
+                   "128", "--eps", "1e-3", f"--rel-tol={value}"])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: ValueError: rel_tol must be in [0, 1), got {float(value)}\n")
+
+
+def test_validate_rejects_nan_rel_tol(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = cli.main(["validate", "--scheme", "CF4-2", "--spins", "3",
+                   "--samples", "2", "--rel-tol", "nan", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: rel_tol must be in [0, 1), got nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,detail", [
+    ("--time", "nan", "t0 must be finite, got nan"),
+    ("--time", "inf", "t0 must be finite, got inf"),
+    ("--grid", "nan,0.5", "step sizes must be finite, got [nan, 0.5]"),
+])
+def test_verify_order_rejects_non_finite_inputs(monkeypatch, capsys, flag, value,
+                                                detail):
+    def no_matrix_work(*args, **kwargs):
+        raise AssertionError("matrix work before the input check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_matrix_work)
+    rc = cli.main(["verify-order", "--scheme", "CF4-2", "--spins", "3",
+                   flag, value])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {detail}\n"

@@ -4,7 +4,8 @@ The sweep CSVs under ``tests/data/`` pin every plan the bounds produce on
 a fixed grid, byte for byte, so a refactor of the bound evaluation cannot
 move a single float.  The README test runs the documented ``cfqm plan``
 command and compares its output with the README's code block, so the
-published numbers cannot go stale.
+published numbers cannot go stale, and runs every other command of the
+README's command-line block, so the examples stay runnable.
 
 After a deliberate change to the plans, regenerate the CSVs with
 ``python tests/test_golden.py`` and review the diff.
@@ -67,6 +68,34 @@ def test_readme_plan_output_is_current():
     with contextlib.redirect_stdout(buf):
         assert cli.main(argv) == 0
     assert buf.getvalue() == shown
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``cfqm ...`` command of the README "Command line" block, with
+    continuation lines joined."""
+    text = README.read_text()
+    block = re.search(r"^## Command line\n.*?```sh\n(.*?)```", text,
+                      re.DOTALL | re.MULTILINE).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cfqm ")]
+
+
+def test_readme_commands_run(tmp_path):
+    commands = _readme_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(cli._COMMANDS)
+    for argv in commands:
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0, argv
+        heads = [line.split()[0] for line in buf.getvalue().splitlines()]
+        if argv[0] in ("sweep", "gen-model"):
+            assert heads == ["wrote"], argv
+        else:
+            ids = [argv[pos + 1] for pos, tok in enumerate(argv) if tok == "--scheme"]
+            assert heads == [f"scheme={sid}" for sid in ids], argv
 
 
 if __name__ == "__main__":

@@ -7,34 +7,30 @@ import pytest
 
 from cfqm import propagators, schemes, spin_model
 from cfqm.propagators import (
+    _expm,
+    _midpoint_product,
+    _suzuki_stages,
     cfqm_step,
-    evolve,
-    expm_antihermitian,
-    midpoint_step,
     node_times,
     product_formula_factors,
-    product_formula_spec,
     reference_propagator,
     spectral_distance,
     split_step,
     trotterized_cfqm_step,
 )
 from cfqm.spin_model import HeisenbergModel, random_model
-from oracles import dense_trotterized_step, per_factor_split_step
+from oracles import dense_cfqm_step, dense_trotterized_step, per_factor_split_step
 
 
 def test_expm_antihermitian_pauli_x_closed_form():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     tau = 0.83
     want = math.cos(tau) * np.eye(2) - 1j * math.sin(tau) * sx
-    assert expm_antihermitian(sx, tau) == pytest.approx(want, abs=1e-14)
-
-
-def test_expm_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        expm_antihermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
-    with pytest.raises(ValueError):
-        expm_antihermitian(np.zeros((2, 3)), 0.1)
+    assert _expm(sx, tau) == pytest.approx(want, abs=1e-14)
+    # a stack is exponentiated entry by entry
+    stack = _expm(np.stack([sx, 2.0 * sx]), tau)
+    assert stack[0] == pytest.approx(want, abs=1e-14)
+    assert stack[1] == pytest.approx(_expm(sx, 2.0 * tau), abs=1e-14)
 
 
 def test_node_times_centered_gauss():
@@ -47,15 +43,13 @@ def test_node_times_centered_gauss():
 
 
 def test_product_formula_stage_tables():
-    pf1 = product_formula_spec(1)
-    assert pf1.xi == (0.5, 0.5)
-    assert pf1.beta == (0.0, 1.0)
+    assert _suzuki_stages(1) == [(0.5, 0.0), (0.5, 1.0)]
     for s in (1, 2, 3):
-        pf = product_formula_spec(s)
-        assert pf.num_stages == 2 * 5 ** (s - 1)
-        assert sum(pf.xi) == pytest.approx(1.0, abs=1e-13)
-        assert sum(pf.beta) == pytest.approx(1.0, abs=1e-13)
-        assert max(map(abs, pf.xi + pf.beta)) <= 1.0 + 1e-12
+        xi, beta = zip(*_suzuki_stages(s))
+        assert len(xi) == 2 * 5 ** (s - 1)
+        assert sum(xi) == pytest.approx(1.0, abs=1e-13)
+        assert sum(beta) == pytest.approx(1.0, abs=1e-13)
+        assert max(map(abs, xi + beta)) <= 1.0 + 1e-12
 
 
 def test_midpoint_equals_first_order_scheme_step():
@@ -63,7 +57,7 @@ def test_midpoint_equals_first_order_scheme_step():
     scheme = schemes.load_scheme("CF2-1")
     t0, h = 0.2, 0.35
     assert cfqm_step(scheme, model, t0, h) == pytest.approx(
-        midpoint_step(model, t0, h), abs=1e-14)
+        _midpoint_product(model, t0, t0 + h, 1), abs=1e-14)
 
 
 def test_steps_are_unitary():
@@ -147,37 +141,40 @@ def test_reunitarize_pulls_back_to_unitary():
     assert defect < 1e-15
 
 
-def test_reference_memoizes_and_evolve_composes():
+def test_reference_memoizes_and_midpoint_product_composes():
     model = random_model(2, seed=13)
     r1 = reference_propagator(model, 0.0, 0.3, tol=1e-10)
     r2 = reference_propagator(model, 0.0, 0.3, tol=1e-10)
     assert r1 is r2
-    # two midpoint steps compose right-to-left
-    u = evolve(model, 0.1, 0.4, 2, "midpoint")
-    want = midpoint_step(model, 0.3, 0.2) @ midpoint_step(model, 0.1, 0.2)
+    # two midpoint micro-steps compose right-to-left
+    u = _midpoint_product(model, 0.1, 0.5, 2)
+    h_at = spin_model.hamiltonian_at
+    want = _expm(h_at(model, 0.4), 0.2) @ _expm(h_at(model, 0.2), 0.2)
     assert u == pytest.approx(want, abs=1e-14)
 
 
 def test_midpoint_rule_is_second_order():
     model = random_model(2, seed=14)
     ref = reference_propagator(model, 0.0, 0.4, tol=1e-12)
-    e4 = spectral_distance(evolve(model, 0.0, 0.4, 4, "midpoint"), ref)
-    e8 = spectral_distance(evolve(model, 0.0, 0.4, 8, "midpoint"), ref)
+    e4 = spectral_distance(_midpoint_product(model, 0.0, 0.4, 4), ref)
+    e8 = spectral_distance(_midpoint_product(model, 0.0, 0.4, 8), ref)
     assert e4 / e8 == pytest.approx(4.0, rel=0.2)
 
 
-def test_evolve_validation_and_scheme_dispatch():
-    model = random_model(2, seed=2)
-    scheme = schemes.load_scheme("CF4-2")
-    u = evolve(model, 0.0, 0.5, 2, "cfqm", scheme=scheme)
-    want = cfqm_step(scheme, model, 0.25, 0.25) @ cfqm_step(scheme, model, 0.0, 0.25)
-    assert u == pytest.approx(want, abs=1e-14)
-    with pytest.raises(ValueError):
-        evolve(model, 0.0, 0.5, 0, "midpoint")
-    with pytest.raises(ValueError):
-        evolve(model, 0.0, -0.5, 2, "midpoint")
-    with pytest.raises(ValueError):
-        evolve(model, 0.0, 0.5, 2, "not-a-method")
+@pytest.mark.parametrize("scheme_id", ["CF2-1", "CF4-2", "CF4-3", "CF6-5", "CF6-6"])
+def test_cfqm_step_matches_dense_oracle(scheme_id):
+    # exponents built from exchange/field weights against exponents summed
+    # from dense node Hamiltonians
+    scheme = schemes.load_scheme(scheme_id)
+    top = 7 if scheme_id.startswith("CF6") else 8
+    for n in range(2, top + 1):
+        for seed in (1, 2):
+            model = random_model(n, seed=seed)
+            for h in (0.1, 0.6):
+                t0 = 0.7 * seed
+                dist = spectral_distance(cfqm_step(scheme, model, t0, h),
+                                         dense_cfqm_step(scheme, model, t0, h))
+                assert dist <= 1e-12, (n, seed, h, dist)
 
 
 @pytest.mark.parametrize("scheme_id", ["CF2-1", "CF4-2", "CF4-3", "CF6-5", "CF6-6"])

@@ -27,6 +27,7 @@ from cfqm.schemes import (
     xbar,
     z_from_y,
 )
+from oracles import scalar_compute_cbar
 
 SQ3 = math.sqrt(3.0)
 
@@ -127,6 +128,11 @@ def test_compute_cbar_frozen():
     assert compute_cbar(load_scheme("CF2-1"), 1.0) == pytest.approx(1.0)
     assert compute_cbar(load_scheme("CF4-2"), 1.0) == pytest.approx(0.5)
     assert compute_cbar(load_scheme("CF4-2"), 2.0) == pytest.approx(1.0)
+    # the vectorised scan agrees bit for bit with the scalar xbar scan
+    for scheme_id in SCHEME_IDS:
+        scheme = load_scheme(scheme_id)
+        for c in (0.1, 0.5, 1.0, 1.7, 3.0):
+            assert compute_cbar(scheme, c) == scalar_compute_cbar(scheme, c)
 
 
 def test_all_bundled_schemes_load_and_validate():

@@ -134,3 +134,14 @@ def test_sum_tail_rejects_divergence_and_negatives():
         sum_tail(lambda p: 1.1 ** p, 2, 1e-10, hard_cap=120)
     with pytest.raises(ValueError):
         sum_tail(lambda p: -1.0, 1, 1e-10)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -1e-300, 1.0, 10.0, math.inf])
+def test_sum_tail_rejects_invalid_rel_tol(rel_tol):
+    # a plain ValueError before any term, not a DivergentRegimeError that
+    # plan/validate would treat as a guard trip
+    terms = []
+    with pytest.raises(ValueError, match=r"rel_tol must be in \[0, 1\)") as err:
+        sum_tail(lambda p: terms.append(p) or 0.5 ** p, 1, rel_tol)
+    assert not isinstance(err.value, DivergentRegimeError)
+    assert terms == []
