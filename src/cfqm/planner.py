@@ -63,8 +63,11 @@ class ModelBounds:
     def __post_init__(self) -> None:
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
+        if not float(self.n).is_integer():
+            raise ValueError(f"n must be an integer, got {self.n}")
         if self.n < 2:
             raise ValueError(f"need at least two spins, got n={self.n}")
+        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True)
@@ -247,7 +250,7 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
             elif axis == "error":
                 T, eps, nn = total_time, float(value), n
             else:
-                nn = int(value)
+                nn = value  # ModelBounds rejects non-integers
                 T = float(value) if total_time is None else total_time
                 eps = epsilon
             row = {"scheme_id": scheme_id, "axis_value": value}

@@ -8,13 +8,14 @@ i.e. the i = m exponential acts on the state first.
 On this model H(t) = C + D(t) with C the constant exchange part and D(t)
 diagonal, so a scheme exponent sum_k z_ik H(t_k) is (sum_k z_ik) C plus a
 diagonal: every step starts from these per-exponential exchange and field
-weights.  The exact scheme step builds its dense exponents from them with
-:func:`cfqm.spin_model.dense_generators`, and it and the reference share
-one eigh kernel.  The two implementable steps use the structure further:
-a product-formula factor of the trotterized step is a tensor
-product of 4x4 (and end-site 2x2) gates, applied to the accumulated
-unitary one gate at a time, and the split step's exchange exponentials
-share the one cached eigenbasis of the time-independent exchange part.
+weights.  Both parts conserve sum_i sigma_i^z, so every exponent and
+propagator is block-diagonal over the magnetization sectors of
+:func:`cfqm.spin_model.sector_groups`: the exact step, the split step (in
+the cached exchange eigenbasis of each block) and the reference work on
+the per-group block stacks and scatter them into the dense result once.
+The trotterized step applies each product-formula factor, a tensor
+product of 4x4 (and end-site 2x2) gates, to a dense unitary one gate at
+a time; its output is block-diagonal too, as the gates keep exact zeros.
 
 The reference propagator composes exact midpoint-rule micro-steps and
 halves the mesh until two consecutive refinements agree to the requested
@@ -46,9 +47,29 @@ def _expm(generators: np.ndarray, tau: float) -> np.ndarray:
     return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
+def _block_norm(blocks: list[np.ndarray]) -> float:
+    """Spectral norm of a block-diagonal matrix given as per-group stacks."""
+    return max(float(np.linalg.svd(b, compute_uv=False)[..., 0].max()) for b in blocks)
+
+
+def _scatter(n: int, blocks: list[np.ndarray]) -> np.ndarray:
+    """The dense 2^n x 2^n matrix with the given per-group blocks."""
+    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for (rows, cols), block in zip(spin_model.sector_groups(n), blocks):
+        out[rows, cols] = block
+    return out
+
+
 def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Largest singular value of u - v."""
-    return float(np.linalg.norm(u - v, ord=2))
+    """Largest singular value of u - v, from its sector blocks when they
+    hold all its nonzeros (as for any two propagators), else dense."""
+    diff = u - v
+    n = diff.shape[0].bit_length() - 1 if diff.ndim == 2 else 0
+    if 2 <= n <= spin_model.MAX_DENSE_SPINS and diff.shape == (2 ** n, 2 ** n):
+        blocks = [diff[rows, cols] for rows, cols in spin_model.sector_groups(n)]
+        if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(diff):
+            return _block_norm(blocks)
+    return float(np.linalg.norm(diff, ord=2))
 
 
 def node_times(scheme, t0: float, h: float) -> np.ndarray:
@@ -68,10 +89,10 @@ def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; use split_step")
     exchange, fields = _exponent_weights(scheme, model, t0, h)
-    u = np.eye(model.dim, dtype=complex)
-    for i in range(scheme.m):
-        u = u @ _expm(spin_model.dense_generators(model, exchange[i], fields[i]), h)
-    return u
+    # one batched eigh per group over all m exponents; exponent m acts first
+    return _scatter(model.n, [
+        _tree_product(_expm(generators, h)[::-1])
+        for generators in spin_model.sector_generators(model, exchange, fields)])
 
 
 def _real_left(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -84,26 +105,38 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a split scheme, alternating exchange and field exponentials.
 
     Each family commutes across the quadrature nodes by construction: the
-    exchange part is one time-independent matrix C = V diag(w) V^T, so
-    exp(-i h sum_k rho_ik C) = V diag(exp(-i h sum_k rho_ik w)) V^T in its
-    cached real eigenbasis, and the field part is diagonal, so its
-    exponentials are phases applied to the rows.  The factors are applied
-    to one accumulator from i = m down to 1.  Zero coefficient rows (the
+    exchange part is one time-independent matrix whose blocks are
+    V diag(w) V^T, so exp(-i h sum_k rho_ik C) = V diag(exp(-i h sum_k
+    rho_ik w)) V^T in their cached real eigenbases, and the field part is
+    diagonal, so its exponentials are phases applied to the rows.  All
+    phases are computed up front; the factors are then applied to each
+    group's block stack from i = m down to 1.  Zero coefficient rows (the
     trailing sigma row) contribute identity factors and are skipped.
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
-    evals, evecs = spin_model.coupling_eigh(model)
-    fields = [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)]
-    u = np.eye(model.dim, dtype=complex)
-    for i in reversed(range(scheme.m)):
-        if np.abs(scheme.sigma[i]).max() > 0.0:
-            diag = sum(scheme.sigma[i, k] * fields[k] for k in range(scheme.s))
-            u *= np.exp(-1j * h * diag)[:, None]
-        if np.abs(scheme.rho[i]).max() > 0.0:
-            phases = np.exp(-1j * h * scheme.rho[i].sum() * evals)
-            u = _real_left(evecs, phases[:, None] * _real_left(evecs.T, u))
-    return u
+    n = model.n
+    fields = scheme.sigma @ np.stack(
+        [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)])
+    field_phases = np.exp(-1j * h * fields)  # (m, 2^n)
+    factors = list(zip(reversed(range(scheme.m)),
+                       np.abs(scheme.sigma[::-1]).max(axis=1) > 0.0,
+                       np.abs(scheme.rho[::-1]).max(axis=1) > 0.0))
+    blocks = []
+    for (rows, cols), (evals, evecs) in zip(spin_model.sector_groups(n),
+                                            spin_model.sector_coupling_eigh(n)):
+        phases = field_phases[:, rows]  # (m, g, d_k, 1)
+        exchange = np.exp(-1j * h * scheme.rho.sum(axis=1)[:, None, None, None]
+                          * evals[..., None])
+        evecs_t = np.swapaxes(evecs, -1, -2)
+        u = np.tile(np.eye(evecs.shape[-1], dtype=complex), (len(evecs), 1, 1))
+        for i, field, coupling in factors:
+            if field:
+                u *= phases[i]
+            if coupling:
+                u = _real_left(evecs, exchange[i] * _real_left(evecs_t, u))
+        blocks.append(u)
+    return _scatter(n, blocks)
 
 
 def _suzuki_stages(s: int) -> list[tuple[float, float]]:
@@ -215,26 +248,28 @@ def _tree_product(steps: np.ndarray) -> np.ndarray:
 
 
 def _reunitarize(u: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step toward the nearest unitary.
+    """One Newton-Schulz step toward the nearest unitary (of each matrix).
 
     Long products drift away from unitarity with a small coherent bias that
     otherwise dominates the reference error at fine meshes; one step from a
     near-unitary start reduces the defect quadratically (to roundoff here).
     """
-    return u @ (1.5 * np.eye(u.shape[0]) - 0.5 * (u.conj().T @ u))
+    return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (np.swapaxes(u.conj(), -1, -2) @ u))
 
 
-def _midpoint_product(model, t0: float, t1: float, num_steps: int) -> np.ndarray:
-    """Compose num_steps exact midpoint-rule micro-steps over [t0, t1]."""
+def _midpoint_product(model, t0: float, t1: float, num_steps: int) -> list[np.ndarray]:
+    """Sector blocks of num_steps exact midpoint micro-steps over [t0, t1]."""
     h_micro = (t1 - t0) / num_steps
     mids = t0 + (np.arange(num_steps) + 0.5) * h_micro
     chunk_size = max(16, _EIGH_BATCH_ENTRIES // model.dim ** 2)
-    u = np.eye(model.dim, dtype=complex)
+    groups = spin_model.sector_groups(model.n)
+    blocks = [np.tile(np.eye(rows.shape[1], dtype=complex), (len(rows), 1, 1))
+              for rows, _ in groups]
     for start in range(0, num_steps, chunk_size):
-        chunk = mids[start:start + chunk_size]
-        steps = _expm(spin_model.hamiltonians_at(model, chunk), h_micro)
-        u = _reunitarize(_tree_product(steps) @ u)
-    return u
+        hams = spin_model.hamiltonians_at(model, mids[start:start + chunk_size])
+        blocks = [_reunitarize(_tree_product(_expm(hams[:, rows, cols], h_micro)) @ u)
+                  for (rows, cols), u in zip(groups, blocks)]
+    return blocks
 
 
 _REFERENCE_CACHE: dict = {}
@@ -267,19 +302,19 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
     num_steps = 16
     u_prev = _midpoint_product(model, t0, t1, num_steps)
     ext_prev = None
-    result = None
     while num_steps <= _REFERENCE_MAX_STEPS // 2:
         num_steps *= 2
         u = _midpoint_product(model, t0, t1, num_steps)
-        ext = _reunitarize((4.0 * u - u_prev) / 3.0)
-        if ext_prev is not None and spectral_distance(ext, ext_prev) < tol:
-            result = ext
+        ext = [_reunitarize((4.0 * a - b) / 3.0) for a, b in zip(u, u_prev)]
+        if ext_prev is not None and _block_norm(
+                [a - b for a, b in zip(ext, ext_prev)]) < tol:
             break
         u_prev, ext_prev = u, ext
     else:
         raise ReferenceConvergenceError(
             f"midpoint reference did not converge to {tol} within "
             f"{_REFERENCE_MAX_STEPS} steps on [{t0}, {t1}]")
+    result = _scatter(model.n, ext)
     result.setflags(write=False)
     while len(_REFERENCE_CACHE) >= _REFERENCE_CACHE_LIMIT:
         _REFERENCE_CACHE.pop(next(iter(_REFERENCE_CACHE)))

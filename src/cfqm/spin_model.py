@@ -29,6 +29,13 @@ same weighted sum of amplitudes).  ``dense_generators`` builds any batch
 of them from those weights, and ``hamiltonian_at`` / ``hamiltonians_at``
 are its unit-exchange cases.
 
+C and the sigma^z fields conserve sum_i sigma_i^z, so every generator and
+every propagator built from them is block-diagonal over the n + 1 sectors
+of k spins down (k set bits of the index), of sizes binomial(n, k).
+``sector_groups`` pairs sector k with the equally large sector n - k;
+``sector_generators`` and ``sector_coupling_eigh`` give the generators and
+the exchange eigenbasis per group.  Public matrices stay dense 2^n x 2^n.
+
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
 matrices and has no such limit.
 """
@@ -83,6 +90,8 @@ class HeisenbergModel:
 
 def random_model(n: int, seed: int) -> HeisenbergModel:
     """Seeded model with phases ~ U[0, 2pi) and frequencies ~ U[0.5, 1]."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     freqs = rng.uniform(0.5, 1.0, size=n)
@@ -134,14 +143,6 @@ def _coupling_matrix(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _coupling_eigh(n: int) -> tuple[np.ndarray, np.ndarray]:
-    evals, evecs = np.linalg.eigh(_coupling_matrix(n))
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
-
-
-@lru_cache(maxsize=8)
 def _site_z_diagonals(n: int) -> np.ndarray:
     """Diagonals of sigma_i^z, shape (n, 2^n), entries +-1."""
     require_dense(n)
@@ -157,12 +158,6 @@ def _site_z_diagonals(n: int) -> np.ndarray:
 def coupling_matrix(model: HeisenbergModel) -> np.ndarray:
     """The time-independent exchange part (1/4n) sum sigma_i.sigma_{i+1}."""
     return _coupling_matrix(model.n)
-
-
-def coupling_eigh(model: HeisenbergModel) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and real orthonormal eigenvectors of
-    :func:`coupling_matrix`, computed once per chain length."""
-    return _coupling_eigh(model.n)
 
 
 def field_amplitudes(model: HeisenbergModel, times) -> np.ndarray:
@@ -186,6 +181,41 @@ def dense_generators(model: HeisenbergModel, exchange, fields) -> np.ndarray:
     idx = np.arange(model.dim)
     out[..., idx, idx] += fields @ _site_z_diagonals(model.n)
     return out
+
+
+@lru_cache(maxsize=None)
+def sector_groups(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Fancy-index pairs ``(rows, cols)`` of shapes (g, d_k, 1), (g, 1, d_k)
+    for the groups k = 0..n//2 of the g = 1 or 2 sectors with k or n - k
+    spins down: ``a[..., rows, cols]`` gathers their blocks as one
+    ``(..., g, d_k, d_k)`` stack and ``out[rows, cols] = ...`` scatters it."""
+    require_dense(n)
+    down = np.array([bin(i).count("1") for i in range(2 ** n)])
+    groups = []
+    for k in range(n // 2 + 1):
+        idx = np.stack([np.flatnonzero(down == j) for j in sorted({k, n - k})])
+        groups.append((idx[:, :, None], idx[:, None, :]))
+    return tuple(groups)
+
+
+@lru_cache(maxsize=8)
+def sector_coupling_eigh(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per group of :func:`sector_groups`, the eigenvalues (g, d_k) and
+    real orthonormal eigenvectors (g, d_k, d_k) of the exchange part's
+    blocks, computed once per chain length."""
+    out = []
+    for rows, cols in sector_groups(n):
+        out.append(np.linalg.eigh(_coupling_matrix(n)[rows, cols]))
+        for arr in out[-1]:
+            arr.setflags(write=False)
+    return tuple(out)
+
+
+def sector_generators(model: HeisenbergModel, exchange, fields) -> list[np.ndarray]:
+    """:func:`dense_generators` gathered per group of :func:`sector_groups`:
+    one ``batch + (g, d_k, d_k)`` stack per group."""
+    dense = dense_generators(model, exchange, fields)
+    return [dense[..., rows, cols] for rows, cols in sector_groups(model.n)]
 
 
 def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:

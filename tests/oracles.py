@@ -7,9 +7,11 @@ here rebuild the same quantities by other means (enumeration, exact
 the closed forms against them.  Likewise :func:`dense_cfqm_step` sums
 dense node Hamiltonians into each exponent, :func:`dense_trotterized_step`
 runs the product formula with dense d x d exponentials of the split
-parts, and :func:`scalar_compute_cbar` scans the xbar coefficients one
-(i, j) at a time: the routes the runtime's weight-built exponents, local
-gates and vectorised scan replace.  None of this is used at run time.
+parts, :func:`dense_reference_propagator` composes and extrapolates dense
+d x d midpoint micro-steps, and :func:`scalar_compute_cbar` scans the
+xbar coefficients one (i, j) at a time: the routes the runtime's
+weight-built sector exponents, local gates, sector blocks and vectorised
+scan replace.  None of this is used at run time.
 
 A *composition* of p >= 1 is an ordered tuple of positive integers summing
 to p; there are 2**(p-1) of them.  A *weak composition* of d into m parts
@@ -31,7 +33,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from cfqm import spin_model
-from cfqm.propagators import _suzuki_stages, node_times
+from cfqm.propagators import (
+    _EIGH_BATCH_ENTRIES,
+    _REFERENCE_MAX_STEPS,
+    _expm,
+    _reunitarize,
+    _suzuki_stages,
+    _tree_product,
+    node_times,
+)
 from cfqm.schemes import xbar
 
 
@@ -275,3 +285,33 @@ def per_factor_split_step(scheme, model, t0: float, h: float) -> np.ndarray:
             diag = sum(scheme.sigma[i, k] * fields[k] for k in range(scheme.s))
             u = u * np.exp(-1j * h * diag)[None, :]
     return u
+
+
+def dense_midpoint_product(model, t0: float, t1: float, num_steps: int) -> np.ndarray:
+    """Compose num_steps exact midpoint-rule micro-steps over [t0, t1]."""
+    h_micro = (t1 - t0) / num_steps
+    mids = t0 + (np.arange(num_steps) + 0.5) * h_micro
+    chunk_size = max(16, _EIGH_BATCH_ENTRIES // model.dim ** 2)
+    u = np.eye(model.dim, dtype=complex)
+    for start in range(0, num_steps, chunk_size):
+        chunk = mids[start:start + chunk_size]
+        steps = _expm(spin_model.hamiltonians_at(model, chunk), h_micro)
+        u = _reunitarize(_tree_product(steps) @ u)
+    return u
+
+
+def dense_reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.ndarray:
+    """U(t1, t0) by mesh halving of the dense midpoint rule with one
+    Richardson extrapolation, until two consecutive extrapolants agree to
+    ``tol`` in the dense spectral norm (no memo)."""
+    num_steps = 16
+    u_prev = dense_midpoint_product(model, t0, t1, num_steps)
+    ext_prev = None
+    while num_steps <= _REFERENCE_MAX_STEPS // 2:
+        num_steps *= 2
+        u = dense_midpoint_product(model, t0, t1, num_steps)
+        ext = _reunitarize((4.0 * u - u_prev) / 3.0)
+        if ext_prev is not None and np.linalg.norm(ext - ext_prev, ord=2) < tol:
+            return ext
+        u_prev, ext_prev = u, ext
+    raise RuntimeError(f"dense midpoint reference did not converge to {tol}")

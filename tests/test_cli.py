@@ -167,3 +167,31 @@ def test_verify_order_rejects_non_finite_inputs(monkeypatch, capsys, flag, value
     assert rc != 0
     assert captured.out == ""
     assert captured.err == f"error: ValueError: {detail}\n"
+
+
+def test_sweep_rejects_non_integer_spins(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["sweep", "--axis", "spins", "--grid", "2.5,4", "--scheme",
+                   "CF2-1", "--eps", "1e-3", "--time", "4", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: n must be an integer, got 2.5\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--scheme", "CF4-2", "--spins", "3", "--samples", "2"],
+    ["verify-order", "--scheme", "CF4-2", "--spins", "3"],
+    ["gen-model", "--spins", "3"],
+])
+def test_negative_seed_reports_error_line(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    extra = [] if command[0] == "verify-order" else ["--out", str(out)]
+    rc = cli.main(command + extra + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ValueError: seed must be a non-negative integer, got -1\n")
+    assert not out.exists()

@@ -18,6 +18,12 @@ def test_model_bounds_validation():
         ModelBounds(c=0.0, n=4)
     with pytest.raises(ValueError):
         ModelBounds(c=1.0, n=1)
+    for bad in (2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {bad}"):
+            ModelBounds(c=1.0, n=bad)
+    # integral floats (the CLI grid parses floats) pass as ints
+    assert ModelBounds(c=1.0, n=16.0).n == 16
+    assert type(ModelBounds(c=1.0, n=16.0).n) is int
 
 
 def test_step_exponentials_accounting():
@@ -120,6 +126,9 @@ def test_sweep_argument_validation(tmp_path):
         sweep("time", [1.0], ["CF2-1"], tmp_path / "x.csv", epsilon=1e-3)
     with pytest.raises(ValueError):
         sweep("error", [1e-3], ["CF2-1"], tmp_path / "x.csv", n=4)
+    with pytest.raises(ValueError, match="n must be an integer, got 2.5"):
+        sweep("spins", [4.0, 2.5], ["CF2-1"], tmp_path / "x.csv", epsilon=1e-3)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_validate_bounds_hold_at_desk_scale(tmp_path):

@@ -19,7 +19,17 @@ from cfqm.propagators import (
     trotterized_cfqm_step,
 )
 from cfqm.spin_model import HeisenbergModel, random_model
-from oracles import dense_cfqm_step, dense_trotterized_step, per_factor_split_step
+from oracles import (
+    dense_cfqm_step,
+    dense_reference_propagator,
+    dense_trotterized_step,
+    per_factor_split_step,
+)
+
+
+def midpoint_dense(model, t0, t1, num_steps):
+    """The blockwise midpoint product as a dense matrix."""
+    return propagators._scatter(model.n, _midpoint_product(model, t0, t1, num_steps))
 
 
 def test_expm_antihermitian_pauli_x_closed_form():
@@ -57,7 +67,7 @@ def test_midpoint_equals_first_order_scheme_step():
     scheme = schemes.load_scheme("CF2-1")
     t0, h = 0.2, 0.35
     assert cfqm_step(scheme, model, t0, h) == pytest.approx(
-        _midpoint_product(model, t0, t0 + h, 1), abs=1e-14)
+        midpoint_dense(model, t0, t0 + h, 1), abs=1e-14)
 
 
 def test_steps_are_unitary():
@@ -147,7 +157,7 @@ def test_reference_memoizes_and_midpoint_product_composes():
     r2 = reference_propagator(model, 0.0, 0.3, tol=1e-10)
     assert r1 is r2
     # two midpoint micro-steps compose right-to-left
-    u = _midpoint_product(model, 0.1, 0.5, 2)
+    u = midpoint_dense(model, 0.1, 0.5, 2)
     h_at = spin_model.hamiltonian_at
     want = _expm(h_at(model, 0.4), 0.2) @ _expm(h_at(model, 0.2), 0.2)
     assert u == pytest.approx(want, abs=1e-14)
@@ -156,8 +166,8 @@ def test_reference_memoizes_and_midpoint_product_composes():
 def test_midpoint_rule_is_second_order():
     model = random_model(2, seed=14)
     ref = reference_propagator(model, 0.0, 0.4, tol=1e-12)
-    e4 = spectral_distance(_midpoint_product(model, 0.0, 0.4, 4), ref)
-    e8 = spectral_distance(_midpoint_product(model, 0.0, 0.4, 8), ref)
+    e4 = spectral_distance(midpoint_dense(model, 0.0, 0.4, 4), ref)
+    e8 = spectral_distance(midpoint_dense(model, 0.0, 0.4, 8), ref)
     assert e4 / e8 == pytest.approx(4.0, rel=0.2)
 
 
@@ -214,3 +224,52 @@ def test_split_step_matches_per_factor_exponentials(scheme_id):
             dist = spectral_distance(split_step(scheme, model, t0, h),
                                      per_factor_split_step(scheme, model, t0, h))
             assert dist <= 1e-12, (n, t0, h, dist)
+
+
+def _off_sector_nonzeros(u):
+    """Nonzeros of u between basis states with different spins down."""
+    down = np.array([bin(i).count("1") for i in range(len(u))])
+    return np.count_nonzero(u[down[:, None] != down[None, :]])
+
+
+def test_propagators_are_exactly_block_diagonal_over_sectors():
+    for n in range(2, 9):
+        model = random_model(n, seed=40 + n)
+        t0, h = 0.4, 0.2
+        outputs = [reference_propagator(model, t0, t0 + h, tol=1e-9)]
+        for scheme_id in ("CF4-3", "CF6-5", "GS6-4", "GS10-6"):
+            scheme = schemes.load_scheme(scheme_id)
+            if scheme.is_split:
+                outputs.append(split_step(scheme, model, t0, h))
+            elif n <= 7 or scheme.s < 3:
+                outputs.append(cfqm_step(scheme, model, t0, h))
+                outputs.append(trotterized_cfqm_step(scheme, model, t0, h))
+        for u in outputs:
+            assert u.shape == (2 ** n, 2 ** n) and u.dtype == complex
+            assert _off_sector_nonzeros(u) == 0, n
+
+
+def test_spectral_distance_blockwise_matches_dense_svd():
+    for n in (2, 3, 5, 8):
+        model = random_model(n, seed=50 + n)
+        scheme = schemes.load_scheme("CF4-2")
+        ref = reference_propagator(model, 1.0, 1.2, tol=1e-9)
+        exact = cfqm_step(scheme, model, 1.0, 0.2)
+        trotter = trotterized_cfqm_step(scheme, model, 1.0, 0.2)
+        split = split_step(schemes.load_scheme("GS6-4"), model, 1.0, 0.2)
+        for u, v in ((exact, ref), (trotter, ref), (trotter, exact), (split, ref)):
+            dense = np.linalg.norm(u - v, 2)
+            assert abs(spectral_distance(u, v) - dense) <= 1e-14 * dense, n
+    # a matrix with entries off the sectors takes the dense SVD unchanged
+    rng = np.random.default_rng(5)
+    u, v = rng.normal(size=(2, 16, 16)) + 1j * rng.normal(size=(2, 16, 16))
+    assert spectral_distance(u, v) == float(np.linalg.norm(u - v, 2))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_reference_matches_dense_oracle(n):
+    model = random_model(n, seed=60 + n)
+    for t0, t1 in ((0.0, 0.3), (2.1, 2.6)):
+        dist = spectral_distance(reference_propagator(model, t0, t1, tol=1e-11),
+                                 dense_reference_propagator(model, t0, t1, tol=1e-11))
+        assert dist <= 1e-12, (n, t0, dist)

@@ -177,3 +177,39 @@ def test_split_is_the_dense_embedding_of_local_terms():
         assert np.array_equal(h_even, parts[1])
         assert h_odd + h_even == pytest.approx(hamiltonian_at(model, t), abs=1e-15)
 
+
+
+def test_random_model_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        random_model(3, seed=-1)
+
+
+def test_sector_groups_partition_the_basis():
+    for n in range(2, 11):
+        groups = spin_model.sector_groups(n)
+        assert len(groups) == n // 2 + 1
+        seen = []
+        for k, (rows, cols) in enumerate(groups):
+            down = sorted({k, n - k})
+            size = math.comb(n, k)
+            assert rows.shape == (len(down), size, 1)
+            assert cols.shape == (len(down), 1, size)
+            assert np.array_equal(rows[..., 0], cols[:, 0])
+            for j, idx in zip(down, cols[:, 0]):
+                assert all(bin(i).count("1") == j for i in idx)
+            seen.extend(cols.ravel())
+        assert sorted(seen) == list(range(2 ** n))
+
+
+def test_hamiltonian_is_block_diagonal_over_sectors():
+    # the exchange and the fields conserve sum sigma^z: the sector blocks
+    # hold every nonzero, and sector_generators gathers exactly those blocks
+    for n in range(2, 8):
+        model = random_model(n, seed=70 + n)
+        h = hamiltonian_at(model, 0.6)
+        blocks = spin_model.sector_generators(
+            model, 1.0, spin_model.field_amplitudes(model, 0.6))
+        rebuilt = np.zeros_like(h)
+        for (rows, cols), block in zip(spin_model.sector_groups(n), blocks):
+            rebuilt[rows, cols] = block
+        assert np.array_equal(rebuilt, h)
