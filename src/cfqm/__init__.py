@@ -10,7 +10,7 @@ from .bounds import (
     suzuki_step_cost,
     trotter_step_error,
 )
-from .planner import ModelBounds, Plan, plan, sweep, validate
+from .planner import ModelBounds, Plan, plan, sweep, validate, verify_order
 from .propagators import (
     cfqm_step,
     reference_propagator,
@@ -24,14 +24,11 @@ from .schemes import (
     compute_cbar,
     load_scheme,
     parse_scheme_text,
-    verify_order,
 )
 from .spin_model import (
     HeisenbergModel,
     hamiltonian_at,
-    load_model,
     random_model,
-    save_model,
     split_at,
 )
 
@@ -49,7 +46,6 @@ __all__ = [
     "cfqm_step",
     "compute_cbar",
     "hamiltonian_at",
-    "load_model",
     "load_scheme",
     "magnus_remainder",
     "parse_scheme_text",
@@ -57,7 +53,6 @@ __all__ = [
     "quadrature_remainder",
     "random_model",
     "reference_propagator",
-    "save_model",
     "spectral_distance",
     "split_at",
     "split_step",

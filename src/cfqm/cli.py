@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Five subcommands: ``plan`` (steps and exponential count for a budget),
-``sweep`` (CSV over a time/error/spins grid), ``validate`` (measured vs
-bound on a random dense model), ``verify-order`` (empirical convergence
-slope), and ``gen-model`` (write a random model file).  Successful runs
-exit 0; failures print a single machine-readable ``error: <Type>: <detail>``
-line to stderr and exit 1 (2 for argument errors, as usual for argparse).
+Four subcommands: ``plan`` (steps and exponential count for a budget),
+``sweep`` (CSV over a time/error/spins grid), ``validate`` (CSV of measured
+vs bound on a random dense model) and ``verify-order`` (empirical
+convergence slope).  The dense model of the last two is fully set by
+``--spins`` and ``--seed``.  Successful runs exit 0; failures print a single
+machine-readable ``error: <Type>: <detail>`` line to stderr and exit 1 (2
+for argument errors, as usual for argparse).
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="measured one-step error vs the bound")
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--out", required=True, help="output report path")
+    p.add_argument("--out", required=True,
+                   help="output CSV path (one row per scheme and sample)")
     _add_common(p, "scheme", "spins", "seed", "rel-tol")
 
     p = sub.add_parser("verify-order", help="empirical convergence slope")
@@ -73,10 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="step sizes to fit over (default 0.3:0.7:5)")
     p.add_argument("--time", type=float, default=0.0, help="window start t0")
     _add_common(p, "scheme", "spins", "seed")
-
-    p = sub.add_parser("gen-model", help="write a random Heisenberg model file")
-    p.add_argument("--out", required=True, help="output model path")
-    _add_common(p, "spins", "seed")
 
     return parser
 
@@ -115,19 +113,15 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     _require(args, "spins")
-    failed = False
-    for scheme_id in args.schemes:
-        scheme = schemes.load_scheme(scheme_id)
-        report = planner.validate(scheme, args.seed, args.spins,
-                                  args.samples, args.out,
-                                  rel_tol=args.rel_tol)
+    reports = planner.validate(args.schemes, args.seed, args.spins,
+                               args.samples, args.out, rel_tol=args.rel_tol)
+    for report in reports:
         flagged = sum(1 for row in report.rows
                       if row.status not in ("ok", "violated"))
-        print(f"scheme={scheme_id} samples={len(report.rows)} "
+        print(f"scheme={report.scheme_id} samples={len(report.rows)} "
               f"flagged={flagged} max_ratio={report.max_ratio:.6g} "
               f"ok={report.ok}")
-        failed = failed or not report.ok
-    if failed:
+    if not all(report.ok for report in reports):
         print("error: BoundViolation: measured error exceeded the bound",
               file=sys.stderr)
         return 1
@@ -141,8 +135,8 @@ def _cmd_verify_order(args) -> int:
     failed = False
     for scheme_id in args.schemes:
         scheme = schemes.load_scheme(scheme_id)
-        slope = schemes.verify_order(scheme, model, grid, t0=args.time)
-        lo, hi = schemes.slope_window(scheme.s)
+        slope = planner.verify_order(scheme, model, grid, t0=args.time)
+        lo, hi = planner.slope_window(scheme.s)
         ok = lo <= slope <= hi
         print(f"scheme={scheme_id} slope={slope:.4f} "
               f"window=[{lo:.2f}, {hi:.2f}] ok={ok}")
@@ -154,20 +148,11 @@ def _cmd_verify_order(args) -> int:
     return 0
 
 
-def _cmd_gen_model(args) -> int:
-    _require(args, "spins")
-    model = spin_model.random_model(args.spins, seed=args.seed)
-    spin_model.save_model(model, args.out)
-    print(f"wrote {args.out} (n={model.n})")
-    return 0
-
-
 _COMMANDS = {
     "plan": _cmd_plan,
     "sweep": _cmd_sweep,
     "validate": _cmd_validate,
     "verify-order": _cmd_verify_order,
-    "gen-model": _cmd_gen_model,
 }
 
 

@@ -4,8 +4,10 @@ The planner answers "how many steps r (and which step size h = T/r) does a
 scheme need so the accumulated bound meets a global error budget", counts
 the fast-forwardable exponentials that plan costs, and compares against the
 Suzuki product-formula cost model on the same budget.  Sweeps serialize the
-results as CSV for plotting; validation runs the actual matrices at desk
-scale and reports measured-vs-bound ratios.
+results as CSV for plotting.  The two dense checks run the actual matrices
+at desk scale through one seam, :func:`measured_error` (a scheme's step
+against the converged reference): validation reports measured-vs-bound
+ratios, and :func:`verify_order` fits the empirical convergence order.
 
 Exponential accounting convention (kept identical across methods): every
 stage of a product contributes one exponential per Hamiltonian block it
@@ -33,8 +35,10 @@ import numpy as np
 from . import bounds, propagators, schemes, spin_model
 from .bounds import BoundParams, ErrorBreakdown
 from .errors import (
+    AsymptoticRegimeError,
     DivergentRegimeError,
     EpsilonTooLargeError,
+    GridTooFineError,
     InfeasiblePlanError,
     ReferenceConvergenceError,
 )
@@ -217,6 +221,16 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
+def _write_csv(out, columns, records) -> None:
+    """Write a header plus one row per record (values in column order) with
+    the deterministic formatting of :func:`_fmt` and LF newlines."""
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for record in records:
+            writer.writerow([_fmt(value) for value in record])
+
+
 def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
           epsilon: float | None = None, n: int | None = None, c: float = 1.0,
           rel_tol: float = 1e-6) -> list[dict]:
@@ -273,17 +287,38 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
                            status="ok")
             rows.append(row)
 
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in SWEEP_COLUMNS])
+    _write_csv(out, SWEEP_COLUMNS,
+               ([row[col] for col in SWEEP_COLUMNS] for row in rows))
     return rows
 
 
 # ---------------------------------------------------------------------------
-# Measured-vs-bound validation
+# Dense checks: measured-vs-bound validation and the empirical order
 # ---------------------------------------------------------------------------
+
+
+def measured_error(scheme, model, t0: float, h: float, reference_tol: float,
+                   *, exact: bool = False) -> float:
+    """Spectral-norm error of one step of ``scheme`` on [t0, t0 + h].
+
+    The step is the split product for split schemes; for non-split schemes
+    it is the trotterized product a device would run, or the product of
+    exact exponentials when ``exact`` is set.  It is measured against
+    :func:`cfqm.propagators.reference_propagator` at ``reference_tol``,
+    whose :class:`ReferenceConvergenceError` propagates.
+    """
+    ref = propagators.reference_propagator(model, t0, t0 + h, reference_tol)
+    if scheme.is_split:
+        step = propagators.split_step(scheme, model, t0, h)
+    elif exact:
+        step = propagators.cfqm_step(scheme, model, t0, h)
+    else:
+        step = propagators.trotterized_cfqm_step(scheme, model, t0, h)
+    return propagators.spectral_distance(step, ref)
+
+
+VALIDATE_COLUMNS = ("scheme_id", "t0", "h", "measured_error", "bound_total",
+                    "ratio", "status")
 
 
 @dataclass(frozen=True)
@@ -318,57 +353,91 @@ class ValidationReport:
         return max(ratios) if ratios else math.nan
 
 
-def _one_step(scheme, model, t0: float, h: float) -> np.ndarray:
-    if scheme.is_split:
-        return propagators.split_step(scheme, model, t0, h)
-    return propagators.trotterized_cfqm_step(scheme, model, t0, h)
+def validate(scheme_ids, seed: int, n: int, samples: int, out,
+             reference_tol: float = 1e-11,
+             rel_tol: float = 1e-6) -> list[ValidationReport]:
+    """Measured one-step error against the a-priori bound, as one CSV.
 
-
-def validate(scheme, seed: int, n: int, samples: int, out,
-             reference_tol: float = 1e-11, rel_tol: float = 1e-6):
-    """Measured one-step error against the a-priori bound, as a report file.
-
-    Runs the implementable step (split product, or the trotterized product
-    for non-split schemes) on a seeded Heisenberg model at ``samples``
-    random (t0, h) points and tabulates measured error, bound and their
-    ratio.  Guard violations and reference-oracle failures become flagged
-    rows rather than crashes.  Returns the report; ``report.ok`` is False
-    when any ratio exceeds one.
+    Runs each scheme's implementable step (split product, or the
+    trotterized product for non-split schemes) on a seeded Heisenberg
+    model at the same ``samples`` random (t0, h) points and tabulates
+    measured error, bound and their ratio, one report per scheme in
+    ``scheme_ids`` order.  Guard violations and reference-oracle failures
+    become flagged rows rather than crashes.  ``out`` receives every
+    scheme's rows under ``VALIDATE_COLUMNS`` once all of them are done;
+    ``report.ok`` is False when any ratio exceeds one.
     """
     if n > 8:
         raise ValueError(f"validation runs dense matrices; n={n} > 8")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    loaded = [schemes.load_scheme(scheme_id) for scheme_id in scheme_ids]
     model = spin_model.random_model(n, seed=seed)
     mb = ModelBounds(c=spin_model.taylor_bound_c(model), n=n)
-    cbar = schemes.compute_cbar(scheme, mb.c)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(samples):
-        t0 = rng.uniform(*_VALIDATE_T0_RANGE)
-        h = rng.uniform(*_VALIDATE_H_RANGE)
-        try:
-            bd = _breakdown_at(scheme, mb, cbar, h, rel_tol)
-        except DivergentRegimeError:
-            rows.append(ValidationRow(t0, h, None, None, "guard"))
-            continue
-        try:
-            ref = propagators.reference_propagator(model, t0, t0 + h,
-                                                   tol=reference_tol)
-        except ReferenceConvergenceError:
-            rows.append(ValidationRow(t0, h, None, bd.total, "no-reference"))
-            continue
-        measured = propagators.spectral_distance(
-            _one_step(scheme, model, t0, h), ref)
-        status = "ok" if measured <= bd.total else "violated"
-        rows.append(ValidationRow(t0, h, measured, bd.total, status))
+    reports = []
+    for scheme in loaded:
+        cbar = schemes.compute_cbar(scheme, mb.c)
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(samples):
+            t0 = rng.uniform(*_VALIDATE_T0_RANGE)
+            h = rng.uniform(*_VALIDATE_H_RANGE)
+            try:
+                bd = _breakdown_at(scheme, mb, cbar, h, rel_tol)
+            except DivergentRegimeError:
+                rows.append(ValidationRow(t0, h, None, None, "guard"))
+                continue
+            try:
+                measured = measured_error(scheme, model, t0, h, reference_tol)
+            except ReferenceConvergenceError:
+                rows.append(ValidationRow(t0, h, None, bd.total, "no-reference"))
+                continue
+            status = "ok" if measured <= bd.total else "violated"
+            rows.append(ValidationRow(t0, h, measured, bd.total, status))
+        reports.append(ValidationReport(scheme.scheme_id, n, seed, tuple(rows)))
+    _write_csv(out, VALIDATE_COLUMNS,
+               ([report.scheme_id, row.t0, row.h, row.measured, row.bound,
+                 row.ratio, row.status]
+                for report in reports for row in report.rows))
+    return reports
 
-    report = ValidationReport(scheme.scheme_id, n, seed, tuple(rows))
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t0", "h", "measured_error", "bound_total",
-                         "ratio", "status"])
-        for row in rows:
-            writer.writerow([_fmt(row.t0), _fmt(row.h), _fmt(row.measured),
-                             _fmt(row.bound), _fmt(row.ratio), row.status])
-    return report
+
+def slope_window(s: int) -> tuple[float, float]:
+    """Accepted window for the measured convergence slope of an order-2s
+    scheme: the ideal 2s+1 minus 0.15 (noise) and plus 0.3 (superconvergence
+    at finite h)."""
+    return 2 * s + 1 - 0.15, 2 * s + 1 + 0.3
+
+
+def verify_order(scheme, model, h_grid, t0: float = 0.0,
+                 reference_tol: float = 1e-12) -> float:
+    """Measured convergence slope of single-step errors over ``h_grid``.
+
+    For each h the scheme's one-step propagator (with exact exponentials)
+    is compared against a converged midpoint reference, and the slope of
+    log(error) against log(h) is fit by least squares.  Raises
+    :class:`GridTooFineError` when any error sits below 1e-13 (roundoff
+    floor, no slope is trustworthy) and :class:`AsymptoticRegimeError` when
+    the errors fail to increase monotonically with h.  A non-finite ``t0``
+    or step size raises ValueError before any matrix is built.
+    """
+    hs = np.sort(np.asarray(h_grid, dtype=float))
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    if not np.all(np.isfinite(hs)):
+        raise ValueError(f"step sizes must be finite, got {list(map(float, h_grid))}")
+    if hs.size < 2:
+        raise ValueError("need at least two grid points")
+    if hs[0] <= 0:
+        raise ValueError("step sizes must be positive")
+    errs = np.array([measured_error(scheme, model, t0, h, reference_tol,
+                                    exact=True) for h in hs])
+    if errs.min() < 1e-13:
+        raise GridTooFineError(
+            f"smallest step error {errs.min():.3e} is at roundoff level; "
+            f"use larger steps")
+    if not np.all(np.diff(errs) > 0):
+        raise AsymptoticRegimeError(
+            f"step errors are not monotone over the grid: {errs.tolist()}")
+    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+    return float(slope)

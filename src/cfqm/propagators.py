@@ -25,6 +25,7 @@ measured against it.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -289,8 +290,12 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
 
     Results are memoized by model data and window (order-condition checks
     compare many schemes against the same reference); the returned array is
-    marked read-only because cache entries are shared.
+    marked read-only because cache entries are shared.  A non-finite
+    ``t0``, ``t1`` or ``tol`` raises ValueError before any matrix work.
     """
+    for name, value in (("t0", t0), ("t1", t1), ("tol", tol)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if tol <= 0:

@@ -35,15 +35,13 @@ bound are recovered through Q^{-1}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .errors import (AsymptoticRegimeError, DataIntegrityError,
-                     GridTooFineError, SchemeLookupError)
+from .errors import DataIntegrityError, SchemeLookupError
 
 #: Scheme identifiers shipped with the package, in order of increasing cost.
 SCHEME_IDS = ("CF2-1", "CF4-2", "CF4-3", "CF6-5", "CF6-6", "GS6-4", "GS10-6")
@@ -336,52 +334,3 @@ def load_scheme(scheme_id: str) -> CFQMScheme:
         raise DataIntegrityError(
             f"{filename}: header id {scheme.scheme_id!r} does not match {scheme_id!r}")
     return scheme
-
-
-def slope_window(s: int) -> tuple[float, float]:
-    """Accepted window for the measured convergence slope of an order-2s
-    scheme: the ideal 2s+1 minus 0.15 (noise) and plus 0.3 (superconvergence
-    at finite h)."""
-    return 2 * s + 1 - 0.15, 2 * s + 1 + 0.3
-
-
-def verify_order(scheme: CFQMScheme, model, h_grid, t0: float = 0.0,
-                 reference_tol: float = 1e-12) -> float:
-    """Measured convergence slope of single-step errors over ``h_grid``.
-
-    For each h the scheme's one-step propagator (with exact exponentials)
-    is compared against a converged midpoint reference, and the slope of
-    log(error) against log(h) is fit by least squares.  Raises
-    :class:`GridTooFineError` when any error sits below 1e-13 (roundoff
-    floor, no slope is trustworthy) and :class:`AsymptoticRegimeError` when
-    the errors fail to increase monotonically with h.  A non-finite ``t0``
-    or step size raises ValueError before any matrix is built.
-    """
-    from . import propagators
-
-    hs = np.sort(np.asarray(h_grid, dtype=float))
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
-    if not np.all(np.isfinite(hs)):
-        raise ValueError(f"step sizes must be finite, got {list(map(float, h_grid))}")
-    if hs.size < 2:
-        raise ValueError("need at least two grid points")
-    if hs[0] <= 0:
-        raise ValueError("step sizes must be positive")
-    errs = np.empty_like(hs)
-    for idx, h in enumerate(hs):
-        if scheme.is_split:
-            step = propagators.split_step(scheme, model, t0, h)
-        else:
-            step = propagators.cfqm_step(scheme, model, t0, h)
-        ref = propagators.reference_propagator(model, t0, t0 + h, reference_tol)
-        errs[idx] = propagators.spectral_distance(step, ref)
-    if errs.min() < 1e-13:
-        raise GridTooFineError(
-            f"smallest step error {errs.min():.3e} is at roundoff level; "
-            f"use larger steps")
-    if not np.all(np.diff(errs) > 0):
-        raise AsymptoticRegimeError(
-            f"step errors are not monotone over the grid: {errs.tolist()}")
-    slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-    return float(slope)

@@ -48,7 +48,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DataIntegrityError
 
 #: Largest chain for which dense matrices are built (2^n scaling).
 MAX_DENSE_SPINS = 12
@@ -274,47 +273,3 @@ def split_at(model: HeisenbergModel, t: float) -> tuple[np.ndarray, np.ndarray]:
             part += _embed(n, n, np.diag(end))
         parts.append(part)
     return parts[0], parts[1]
-
-
-def save_model(model: HeisenbergModel, path) -> None:
-    """Write a model file: a ``heisenberg <n>`` header and one
-    ``site <phase> <freq>`` row per spin."""
-    lines = [f"heisenberg {model.n}"]
-    for phase, freq in zip(model.phases, model.freqs):
-        lines.append(f"site {phase:.17g} {freq:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> HeisenbergModel:
-    """Read a model file written by :func:`save_model`."""
-    with open(path) as fh:
-        text = fh.read()
-    n = None
-    sites: list[tuple[float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "heisenberg":
-            if n is not None:
-                raise DataIntegrityError(f"{path}:{lineno}: duplicate header")
-            try:
-                n = int(parts[1])
-            except (IndexError, ValueError) as exc:
-                raise DataIntegrityError(f"{path}:{lineno}: bad header") from exc
-        elif parts[0] == "site":
-            try:
-                phase, freq = float(parts[1]), float(parts[2])
-            except (IndexError, ValueError) as exc:
-                raise DataIntegrityError(f"{path}:{lineno}: bad site row") from exc
-            sites.append((phase, freq))
-        else:
-            raise DataIntegrityError(f"{path}:{lineno}: unknown directive {parts[0]!r}")
-    if n is None:
-        raise DataIntegrityError(f"{path}: missing 'heisenberg <n>' header")
-    if len(sites) != n:
-        raise DataIntegrityError(f"{path}: expected {n} site rows, got {len(sites)}")
-    phases, freqs = zip(*sites)
-    return HeisenbergModel(n=n, phases=np.array(phases), freqs=np.array(freqs))

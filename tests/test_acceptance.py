@@ -112,7 +112,7 @@ def test_criterion_05_convergence_orders():
     ok = True
     for scheme_id in SCHEME_IDS:
         scheme = schemes.load_scheme(scheme_id)
-        slope = schemes.verify_order(scheme, model, grid)
+        slope = planner.verify_order(scheme, model, grid)
         target = 2 * scheme.s + 1
         ok &= abs(slope - target) <= 0.3
         details.append(f"{scheme_id} {slope:.2f}/{target}")

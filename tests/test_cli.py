@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cfqm import cli, spin_model
+from cfqm import cli
 
 
 def test_grid_parser():
@@ -11,18 +11,6 @@ def test_grid_parser():
     assert cli._grid("1:4:3") == pytest.approx([1.0, 2.0, 4.0])
     with pytest.raises(ValueError):
         cli._grid("1:4")
-
-
-def test_gen_model_roundtrip(tmp_path, capsys):
-    out = tmp_path / "model.txt"
-    rc = cli.main(["gen-model", "--spins", "5", "--seed", "3",
-                   "--out", str(out)])
-    assert rc == 0
-    assert "wrote" in capsys.readouterr().out
-    loaded = spin_model.load_model(out)
-    want = spin_model.random_model(5, seed=3)
-    assert np.array_equal(loaded.phases, want.phases)
-    assert np.array_equal(loaded.freqs, want.freqs)
 
 
 def test_plan_prints_machine_readable_line(capsys):
@@ -78,6 +66,20 @@ def test_validate_exits_zero_when_bounds_hold(tmp_path, capsys):
     assert rc == 0
     assert "ok=True" in capsys.readouterr().out
     assert out.exists()
+
+
+def test_validate_writes_every_scheme_to_one_csv(tmp_path, capsys):
+    out = tmp_path / "v.csv"
+    rc = cli.main(["validate", "--scheme", "CF2-1", "--scheme", "GS6-4",
+                   "--spins", "3", "--samples", "3", "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 0
+    heads = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert heads == ["scheme=CF2-1", "scheme=GS6-4"]
+    lines = out.read_text().splitlines()
+    assert lines[0] == "scheme_id,t0,h,measured_error,bound_total,ratio,status"
+    assert [line.split(",")[0] for line in lines[1:]] == ["CF2-1"] * 3 + ["GS6-4"] * 3
+    assert all(line.endswith(",ok") for line in lines[1:])
 
 
 def test_verify_order_default_grid(capsys):
@@ -183,7 +185,6 @@ def test_sweep_rejects_non_integer_spins(tmp_path, capsys):
 @pytest.mark.parametrize("command", [
     ["validate", "--scheme", "CF4-2", "--spins", "3", "--samples", "2"],
     ["verify-order", "--scheme", "CF4-2", "--spins", "3"],
-    ["gen-model", "--spins", "3"],
 ])
 def test_negative_seed_reports_error_line(tmp_path, capsys, command):
     out = tmp_path / "out.txt"

@@ -91,7 +91,7 @@ def test_readme_commands_run(tmp_path):
         with contextlib.redirect_stdout(buf):
             assert cli.main(argv) == 0, argv
         heads = [line.split()[0] for line in buf.getvalue().splitlines()]
-        if argv[0] in ("sweep", "gen-model"):
+        if argv[0] == "sweep":
             assert heads == ["wrote"], argv
         else:
             ids = [argv[pos + 1] for pos, tok in enumerate(argv) if tok == "--scheme"]

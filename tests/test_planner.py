@@ -1,12 +1,22 @@
-"""Step-count planning, sweeps and measured-vs-bound validation."""
+"""Step-count planning, sweeps and the dense checks (measured error,
+validation and the empirical order)."""
 
 import math
 
+import numpy as np
 import pytest
 
-from cfqm import planner, schemes
-from cfqm.errors import InfeasiblePlanError
-from cfqm.planner import ModelBounds, plan, step_exponentials, sweep, validate
+from cfqm import planner, propagators, schemes, spin_model
+from cfqm.errors import AsymptoticRegimeError, GridTooFineError, InfeasiblePlanError
+from cfqm.planner import (
+    ModelBounds,
+    measured_error,
+    plan,
+    step_exponentials,
+    sweep,
+    validate,
+    verify_order,
+)
 
 
 def _scheme(scheme_id):
@@ -132,21 +142,27 @@ def test_sweep_argument_validation(tmp_path):
 
 
 def test_validate_bounds_hold_at_desk_scale(tmp_path):
-    for scheme_id in ("CF2-1", "GS6-4"):
-        out = tmp_path / f"{scheme_id}.csv"
-        report = validate(_scheme(scheme_id), seed=7, n=3, samples=4, out=out)
+    out = tmp_path / "report.csv"
+    reports = validate(["CF2-1", "GS6-4"], seed=7, n=3, samples=4, out=out)
+    assert [report.scheme_id for report in reports] == ["CF2-1", "GS6-4"]
+    for report in reports:
         assert report.ok
         assert 0 < report.max_ratio <= 1.0
-        lines = out.read_text().splitlines()
-        assert len(lines) == 5
-        assert lines[0].startswith("t0,h,")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 9
+    assert lines[0].startswith("scheme_id,t0,h,")
+    assert [line.split(",")[0] for line in lines[1:]] == ["CF2-1"] * 4 + ["GS6-4"] * 4
+    # every scheme is measured at the same seeded (t0, h) samples
+    assert [line.split(",")[1:3] for line in lines[1:5]] == \
+        [line.split(",")[1:3] for line in lines[5:]]
 
 
 def test_validate_input_validation(tmp_path):
     with pytest.raises(ValueError):
-        validate(_scheme("CF2-1"), seed=0, n=9, samples=2, out=tmp_path / "x")
+        validate(["CF2-1"], seed=0, n=9, samples=2, out=tmp_path / "x")
     with pytest.raises(ValueError):
-        validate(_scheme("CF2-1"), seed=0, n=3, samples=0, out=tmp_path / "x")
+        validate(["CF2-1"], seed=0, n=3, samples=0, out=tmp_path / "x")
+    assert not (tmp_path / "x").exists()
 
 
 def test_validation_report_flags_ratio_above_one():
@@ -164,3 +180,38 @@ def test_plan_rejects_non_finite_inputs():
                                 (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(ValueError, match="must be finite"):
             plan(_scheme("CF2-1"), mb, total_time, epsilon)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("scheme_id", schemes.SCHEME_IDS)
+def test_measured_error_is_the_step_against_the_reference(scheme_id, exact):
+    scheme = _scheme(scheme_id)
+    model = spin_model.random_model(3, seed=21)
+    t0, h, tol = 0.4, 0.3, 1e-10
+    if scheme.is_split:
+        step = propagators.split_step(scheme, model, t0, h)
+    elif exact:
+        step = propagators.cfqm_step(scheme, model, t0, h)
+    else:
+        step = propagators.trotterized_cfqm_step(scheme, model, t0, h)
+    want = propagators.spectral_distance(
+        step, propagators.reference_propagator(model, t0, t0 + h, tol))
+    assert measured_error(scheme, model, t0, h, tol, exact=exact) == want
+
+
+def test_verify_order_smoke_second_order():
+    model = spin_model.random_model(2, seed=3)
+    slope = verify_order(_scheme("CF2-1"), model,
+                         np.geomspace(0.3, 0.6, 3), t0=0.1)
+    assert 2.7 <= slope <= 3.3
+
+
+def test_verify_order_error_paths():
+    model = spin_model.random_model(2, seed=3)
+    scheme = _scheme("CF2-1")
+    with pytest.raises(ValueError):
+        verify_order(scheme, model, [0.3])
+    with pytest.raises(GridTooFineError):
+        verify_order(scheme, model, [1e-5, 2e-5])
+    with pytest.raises(AsymptoticRegimeError):
+        verify_order(scheme, model, [0.4, 0.4])

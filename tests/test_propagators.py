@@ -163,6 +163,28 @@ def test_reference_memoizes_and_midpoint_product_composes():
     assert u == pytest.approx(want, abs=1e-14)
 
 
+@pytest.mark.parametrize("t0,t1,tol,detail", [
+    (0.0, 0.3, math.nan, "tol must be finite, got nan"),
+    (0.0, 0.3, math.inf, "tol must be finite, got inf"),
+    (math.nan, 0.3, 1e-10, "t0 must be finite, got nan"),
+    (0.0, math.inf, 1e-10, "t1 must be finite, got inf"),
+    (0.0, math.nan, 1e-10, "t1 must be finite, got nan"),
+])
+def test_reference_rejects_non_finite_inputs(monkeypatch, t0, t1, tol, detail):
+    class NoLookup(dict):
+        def get(self, key, default=None):
+            raise AssertionError("memo lookup before the input check")
+
+    def no_matrix_work(*args, **kwargs):
+        raise AssertionError("matrix work before the input check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_matrix_work)
+    monkeypatch.setattr(propagators, "_REFERENCE_CACHE", NoLookup())
+    with pytest.raises(ValueError) as err:
+        reference_propagator(random_model(3, seed=1), t0, t1, tol=tol)
+    assert str(err.value) == detail
+
+
 def test_midpoint_rule_is_second_order():
     model = random_model(2, seed=14)
     ref = reference_propagator(model, 0.0, 0.4, tol=1e-12)

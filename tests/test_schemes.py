@@ -1,4 +1,4 @@
-"""Coefficient transforms, scheme data files, and the empirical order check."""
+"""Coefficient transforms and scheme data files."""
 
 import math
 
@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfqm import schemes, spin_model
-from cfqm.errors import (
-    AsymptoticRegimeError,
-    DataIntegrityError,
-    GridTooFineError,
-    SchemeLookupError,
-)
+from cfqm import schemes
+from cfqm.errors import DataIntegrityError, SchemeLookupError
 from cfqm.schemes import (
     SCHEME_IDS,
     compute_cbar,
@@ -23,7 +18,6 @@ from cfqm.schemes import (
     split_maps,
     t_matrix,
     transform_matrices,
-    verify_order,
     xbar,
     z_from_y,
 )
@@ -198,21 +192,3 @@ def test_parse_split_requires_empty_trailing_sigma():
     """
     with pytest.raises(DataIntegrityError):
         parse_scheme_text(text)
-
-
-def test_verify_order_smoke_second_order():
-    model = spin_model.random_model(2, seed=3)
-    slope = verify_order(load_scheme("CF2-1"), model,
-                         np.geomspace(0.3, 0.6, 3), t0=0.1)
-    assert 2.7 <= slope <= 3.3
-
-
-def test_verify_order_error_paths():
-    model = spin_model.random_model(2, seed=3)
-    scheme = load_scheme("CF2-1")
-    with pytest.raises(ValueError):
-        verify_order(scheme, model, [0.3])
-    with pytest.raises(GridTooFineError):
-        verify_order(scheme, model, [1e-5, 2e-5])
-    with pytest.raises(AsymptoticRegimeError):
-        verify_order(scheme, model, [0.4, 0.4])

@@ -1,4 +1,4 @@
-"""Dense Heisenberg chain with cosine drives: norms, splits, serialization."""
+"""Dense Heisenberg chain with cosine drives: norms, splits, sectors."""
 
 import math
 
@@ -8,15 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfqm import spin_model
-from cfqm.errors import DataIntegrityError
 from cfqm.spin_model import (
     HeisenbergModel,
     field_diagonal,
     hamiltonian_at,
     hamiltonians_at,
-    load_model,
     random_model,
-    save_model,
     split_at,
     taylor_bound_c,
 )
@@ -113,26 +110,6 @@ def test_model_validation():
     big = random_model(spin_model.MAX_DENSE_SPINS + 1, seed=0)
     with pytest.raises(ValueError):
         spin_model.hamiltonian_at(big, 0.0)
-
-
-def test_save_load_round_trip(tmp_path):
-    model = random_model(6, seed=9)
-    path = tmp_path / "chain.txt"
-    save_model(model, path)
-    back = load_model(path)
-    assert back.n == model.n
-    assert np.array_equal(back.phases, model.phases)
-    assert np.array_equal(back.freqs, model.freqs)
-
-
-def test_load_model_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("heisenberg 3\nsite 0.1 0.9\nsite 0.2 0.8\n")  # one row short
-    with pytest.raises(DataIntegrityError):
-        load_model(path)
-    path.write_text("ising 3\n")
-    with pytest.raises(DataIntegrityError):
-        load_model(path)
 
 
 @given(st.integers(2, 6), st.integers(0, 2 ** 16))
