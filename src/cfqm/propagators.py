@@ -10,12 +10,12 @@ diagonal, so a scheme exponent sum_k z_ik H(t_k) is (sum_k z_ik) C plus a
 diagonal: every step starts from these per-exponential exchange and field
 weights.  Both parts conserve sum_i sigma_i^z, so every exponent and
 propagator is block-diagonal over the magnetization sectors of
-:func:`cfqm.spin_model.sector_groups`: the exact step, the split step (in
-the cached exchange eigenbasis of each block) and the reference work on
-the per-group block stacks and scatter them into the dense result once.
-The trotterized step applies each product-formula factor, a tensor
-product of 4x4 (and end-site 2x2) gates, to a dense unitary one gate at
-a time; its output is block-diagonal too, as the gates keep exact zeros.
+:func:`cfqm.spin_model.sector_groups`, and no kernel works on dense
+2^n x 2^n arrays: the exact step, the split step (in the cached exchange
+eigenbasis of each block), the trotterized step (in the real eigenbases
+of the two parts of the odd/even split, whose factors become phases
+joined by one real change of basis) and the reference work on the
+per-group block stacks and scatter them into the dense result once.
 
 The reference propagator composes exact midpoint-rule micro-steps and
 halves the mesh until two consecutive refinements agree to the requested
@@ -178,25 +178,77 @@ def product_formula_factors(s: int) -> tuple[tuple[int, float], ...]:
     return tuple((part, coeff) for part, coeff in factors)
 
 
-def _local_gates(n: int, terms, taus: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """exp(-i tau T) for every local term T of a part and every tau.
+@lru_cache(maxsize=16)
+def _split_layout(n: int, bond_sites: tuple[tuple[int, ...], tuple[int, ...]]):
+    """Gather indices for the eigenbases of the two parts of the odd/even
+    split, whose bonds start on ``bond_sites[0]`` and ``bond_sites[1]``.
 
-    ``terms`` is what :func:`cfqm.spin_model.local_terms` returns for a
-    batch of m parts; the result pairs each term's first site with its
-    gates, shape (m, len(taus), k, k) for a term on k = 4 or 2 levels.
+    Part p is a tensor product over slots: its bonds, then its unpaired
+    sites (site n first, so an end term's slot follows the bonds), then
+    identity slots up to the common count S.
+    Slot (p, j) holds a 4x4 matrix, indexed on a bond by the pair's two
+    bits and on a site by its bit.  Returns S and, per group of
+    :func:`cfqm.spin_model.sector_groups`, the flat indices into a
+    (2, S, 4, 4) stack of slot matrices, shape (2, S, g, d_k, d_k), and
+    into a (2, S, 4) stack of slot diagonals, shape (2, S, g, d_k): the
+    group blocks of the products are the gathers' products over S, and
+    the group diagonals of the sums their sums over S.
     """
-    sites, blocks, end = terms
-    gates = []
-    if sites:
-        evals, evecs = np.linalg.eigh(blocks)  # (m, bonds, 4), (m, bonds, 4, 4)
-        phases = np.exp(-1j * taus[:, None, None] * evals[:, None])
-        bond_gates = ((evecs[:, None] * phases[..., None, :])
-                      @ np.swapaxes(evecs, -1, -2)[:, None])
-        gates += [(site, bond_gates[:, :, b]) for b, site in enumerate(sites)]
-    if end is not None:
-        phases = np.exp(-1j * taus[:, None] * end[:, None])  # (m, taus, 2)
-        gates.append((n, phases[..., None, :] * np.eye(2)))
-    return gates
+    states = np.arange(2 ** n)
+    slots = []
+    for sites in bond_sites:
+        paired = {site + k for site in sites for k in (0, 1)}
+        single = sorted(set(range(1, n + 1)) - paired, reverse=True)
+        slots.append([(states >> (n - 1 - site)) & 3 for site in sites]
+                     + [(states >> (n - site)) & 1 for site in single])
+    width = max(map(len, slots))
+    local = np.zeros((2, width, 2 ** n), dtype=np.intp)
+    for p, rows in enumerate(slots):
+        local[p, :len(rows)] = rows
+    offset = np.arange(2 * width).reshape(2, width, 1)
+    # the indices stay below 2 * S * 16 <= 224, so bytes keep the cache small
+    groups = [((16 * offset[..., None, None] + 4 * local[:, :, rows]
+                + local[:, :, cols]).astype(np.uint8),
+               (4 * offset[..., None] + local[:, :, rows[..., 0]]).astype(np.uint8))
+              for rows, cols in spin_model.sector_groups(n)]
+    return width, groups
+
+
+def _split_eigenbases(n: int, exchange, fields) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Real eigenbases of a batch of m odd/even split pairs (B, C), built
+    by :func:`cfqm.spin_model.local_terms` from ``exchange`` (m,) and
+    ``fields`` (m, n), per group of :func:`cfqm.spin_model.sector_groups`.
+
+    Each 4x4 bond block is 1 + 2 + 1 block-diagonal over the pair's
+    magnetization, so one batched eigh of the middle 2x2 blocks of every
+    bond gives P = W diag(lam) W^T with W a real tensor product that
+    conserves sum sigma^z exactly, even where the local spectrum is
+    degenerate; the unpaired sites add identities to W and their diagonal
+    to lam.  Returns per group ``(w, lam)``, the blocks of W of shape
+    (m, 2, g, d_k, d_k) and the matching lam of shape (m, 2, g, d_k),
+    part 0 being B and 1 being C.
+    """
+    m = len(exchange)
+    parts = [spin_model.local_terms(n, parity, exchange, fields) for parity in (1, 0)]
+    evals, evecs = np.linalg.eigh(
+        np.concatenate([blocks[..., 1:3, 1:3] for _, blocks, _ in parts], axis=-3))
+    width, groups = _split_layout(n, tuple(sites for sites, _, _ in parts))
+    # slot matrices 1 (+) V (+) 1 on the bonds, identities elsewhere
+    bases = np.tile(np.eye(4), (m, 2, width, 1, 1))
+    spectra = np.zeros((m, 2, width, 4))
+    bond = 0
+    for p, (sites, blocks, end) in enumerate(parts):
+        mid = slice(bond, bond + len(sites))
+        bond = mid.stop
+        bases[:, p, :len(sites), 1:3, 1:3] = evecs[:, mid]
+        spectra[:, p, :len(sites), 0] = blocks[..., 0, 0]
+        spectra[:, p, :len(sites), 1:3] = evals[:, mid]
+        spectra[:, p, :len(sites), 3] = blocks[..., 3, 3]
+        if end is not None:
+            spectra[:, p, len(sites), :2] = end
+    bases, spectra = bases.reshape(m, -1), spectra.reshape(m, -1)
+    return [(bases[:, entries].prod(axis=2), spectra[:, diagonal].sum(axis=2))
+            for entries, diagonal in groups]
 
 
 def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
@@ -204,32 +256,33 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     (2s)-th order product formula over the odd/even block split.
 
     Exponential i is exp(-i h (B_i + C_i)) with B_i = sum_k z_ik H_odd(t_k)
-    and C_i likewise; each part is a sum of commuting local terms, so its
-    factors are tensor products of small gates.  Each local term is
-    eigendecomposed once per exponential, its gates are built for every
-    factor of the merged sequence at once, and the gates are applied to the
-    accumulated unitary from i = m down to 1, stage 1 first.
+    and C_i likewise.  In the parts' real eigenbases
+    (:func:`_split_eigenbases`) every factor exp(-i tau P) of the merged
+    sequence is phases, and consecutive factors are joined by the one
+    real change of basis W_C^T W_B (or its transpose), so each group's
+    product is W^T, phases, a change of basis, phases, ..., W.  All m
+    exponentials are carried as a stack through each group's factor loop
+    and then multiplied, exponential m acting first.
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
-    n, dim = model.n, model.dim
+    n = model.n
     spin_model.require_dense(n)
-    factors = product_formula_factors(scheme.s)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
-    exchange = exchange / (4.0 * n)
+    factors = product_formula_factors(scheme.s)
+    order = [part for part, _ in factors]
     taus = h * np.array([coeff for _, coeff in factors])
-    gates = [_local_gates(n, spin_model.local_terms(n, parity, exchange, fields), taus)
-             for parity in (1, 0)]  # B = odd blocks, C = even blocks
-    # two buffers written in turn: a fresh d x d array per gate costs page faults
-    u = np.eye(dim, dtype=complex)
-    spare = np.empty_like(u)
-    for i in reversed(range(scheme.m)):
-        for j, (part, _) in enumerate(factors):
-            for site, gate in gates[part]:
-                shape = (2 ** (site - 1), gate.shape[-1], -1)
-                np.matmul(gate[i, j], u.reshape(shape), out=spare.reshape(shape))
-                u, spare = spare, u
-    return u
+    blocks = []
+    for w, lam in _split_eigenbases(n, exchange / (4.0 * n), fields):
+        phases = np.exp(-1j * taus[:, None, None] * lam[:, order])[..., None]
+        into_c = np.swapaxes(w[:, 1], -1, -2) @ w[:, 0]  # B eigenbasis -> C eigenbasis
+        change = (np.ascontiguousarray(np.swapaxes(into_c, -1, -2)), into_c)
+        u = np.ascontiguousarray(phases[:, 0] * np.swapaxes(w[:, order[0]], -1, -2))
+        for j in range(1, len(factors)):
+            u = _real_left(change[order[j]], u)
+            u *= phases[:, j]
+        blocks.append(_tree_product(_real_left(w[:, order[-1]], u)[::-1]))
+    return _scatter(n, blocks)
 
 
 def _tree_product(steps: np.ndarray) -> np.ndarray:

@@ -89,6 +89,8 @@ class HeisenbergModel:
 
 def random_model(n: int, seed: int) -> HeisenbergModel:
     """Seeded model with phases ~ U[0, 2pi) and frequencies ~ U[0.5, 1]."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)

@@ -1,0 +1,37 @@
+"""The kernels still reproduce the benchmark's pinned golden round.
+
+``bench/golden.json`` records the outputs of the pinned seed's rounds; the
+benchmark checks them on every run, but a kernel that drifts beyond the
+golden tolerances would otherwise only show there.  This replays round 0
+of ``propagate-large`` (every dense step kind at n = 7-8, no reference)
+exactly as ``bench/worker.py`` checks it, reading ``bench/`` only.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).parent.parent / "bench"
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_propagate_large_pinned_round_matches_golden(monkeypatch, tmp_path):
+    workloads = _load_workloads(monkeypatch)
+    golden = json.loads((BENCH / "golden.json").read_text())["propagate-large"]
+    assert golden["seed"] == workloads.PINNED_SEED
+    ops = workloads.propagate_large_round(workloads.PINNED_SEED, 0, str(tmp_path))
+    assert len(ops) == len(golden["rounds"][0]) == 14
+    for op, want in zip(ops, golden["rounds"][0]):
+        result = op.run()
+        assert op.invariant(result) is None, op.key
+        assert workloads.compare(op.summary(result), want, op.tolerances) is None, op.key

@@ -47,6 +47,9 @@ def test_kernels_call_the_traced_names_by_attribute(monkeypatch):
     propagators.cfqm_step(schemes.load_scheme("CF4-2"), model, 0.2, 0.3)
     assert calls["eigh"] > 0
     calls.clear()
+    propagators.trotterized_cfqm_step(schemes.load_scheme("CF4-2"), model, 0.2, 0.3)
+    assert calls["eigh"] > 0
+    calls.clear()
     monkeypatch.setattr(propagators, "_REFERENCE_CACHE", {})
     propagators.reference_propagator(model, 0.2, 0.5, tol=1e-10)
     assert calls["eigh"] > 0

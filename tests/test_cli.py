@@ -196,3 +196,18 @@ def test_negative_seed_reports_error_line(tmp_path, capsys, command):
     assert captured.err == (
         "error: ValueError: seed must be a non-negative integer, got -1\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "--scheme", "CF2-1", "--spins", "-3", "--samples", "1"],
+    ["verify-order", "--scheme", "CF2-1", "--spins", "-3"],
+])
+def test_negative_spins_reports_error_line(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    extra = [] if command[0] == "verify-order" else ["--out", str(out)]
+    rc = cli.main(command + extra)
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err == "error: ValueError: n must be an integer >= 2, got -3\n"
+    assert not out.exists()

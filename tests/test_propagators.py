@@ -225,6 +225,30 @@ def test_trotterized_step_matches_dense_oracle(scheme_id):
                 assert dist <= 1e-12, (n, seed, h, dist)
 
 
+def test_split_eigenbases_keep_sectors_when_local_spectra_are_degenerate():
+    # zero frequencies and phases pi/2 leave fields of roundoff size, so
+    # every bond block has a (near) threefold degenerate triplet, which a
+    # 4x4 eigh is free to mix across |00>, |11> and the middle pair
+    for n in range(3, 7):
+        zero_field = HeisenbergModel(n=n, phases=np.full(n, math.pi / 2),
+                                     freqs=np.zeros(n))
+        for model in (zero_field, random_model(n, seed=80 + n)):
+            for scheme_id in ("CF4-2", "CF6-5"):
+                scheme = schemes.load_scheme(scheme_id)
+                u = trotterized_cfqm_step(scheme, model, 0.3, 0.4)
+                assert _off_sector_nonzeros(u) == 0, (n, scheme_id)
+                dist = spectral_distance(u, dense_trotterized_step(scheme, model, 0.3, 0.4))
+                assert dist <= 1e-12, (n, scheme_id, dist)
+            t = 0.9
+            groups = propagators._split_eigenbases(
+                n, np.array([1.0 / (4.0 * n)]), spin_model.field_amplitudes(model, t)[None])
+            for p, dense in enumerate(spin_model.split_at(model, t)):
+                rebuilt = propagators._scatter(n, [
+                    (w[0, p] * lam[0, p, ..., None, :]) @ np.swapaxes(w[0, p], -1, -2)
+                    for w, lam in groups])
+                assert np.linalg.norm(rebuilt - dense, 2) <= 1e-14, (n, p)
+
+
 def test_product_formula_factors_merge_same_block_neighbours():
     for s, length in ((1, 3), (2, 11), (3, 51)):
         factors = product_formula_factors(s)

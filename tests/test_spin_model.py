@@ -156,6 +156,16 @@ def test_split_is_the_dense_embedding_of_local_terms():
 
 
 
+@pytest.mark.parametrize("n", [-3, 0, 1, 2.5, 4.0])
+def test_random_model_rejects_invalid_n_before_drawing(monkeypatch, n):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random draw before the n check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=rf"^n must be an integer >= 2, got {n}$"):
+        random_model(n, seed=1)
+
+
 def test_random_model_rejects_negative_seed():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
         random_model(3, seed=-1)
