@@ -17,6 +17,12 @@ of the two parts of the odd/even split, whose factors become phases
 joined by one real change of basis) and the reference work on the
 per-group block stacks and scatter them into the dense result once.
 
+The exact step's exponents and the reference's micro-steps are
+exp(-i tau G) for real symmetric sector blocks G of small norm, which
+:func:`_expm` evaluates as cos - i sin by a truncated Taylor series in
+real matrix products; ``eigh`` is left only for the trotterized step's
+2x2 bond blocks and the split step's cached exchange eigenbasis.
+
 The reference propagator composes exact midpoint-rule micro-steps and
 halves the mesh until two consecutive refinements agree to the requested
 tolerance, which places the reference error well below the scheme errors
@@ -33,19 +39,98 @@ import numpy as np
 from . import spin_model
 from .errors import ReferenceConvergenceError
 
-#: Memory budget (complex entries) per eigendecomposition batch inside the
-#: reference propagator; the chunk size adapts to the matrix dimension.
-_EIGH_BATCH_ENTRIES = 1 << 22
+#: Micro-steps per chunk of the reference propagator, as a budget of chunk
+#: * 4^n (at least 16 steps): each chunk is exponentiated as one stack and
+#: multiplied into the product, which is reunitarized once per chunk.
+_REFERENCE_CHUNK_BUDGET = 1 << 22
 
 #: Mesh-size cap for the reference propagator.
 _REFERENCE_MAX_STEPS = 2 ** 20
 
+#: Unit roundoff of float64, the target of the Taylor truncation error.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@lru_cache(maxsize=None)
+def _taylor_plan(degree: int):
+    """Paterson-Stockmeyer plan for the degree-J Taylor series of cos X
+    and of -sin X = X q(Y), both as polynomials in Y = X^2.
+
+    Each series is cut into blocks of r coefficients, c_0 I + c_1 Y + ...
+    + c_(r-1) Y^(r-1), which Horner's rule in Y^r joins.  r is the size
+    with the fewest products: Y^2 .. Y^p with p = min(r, top), then one
+    per further block.  Returns p, the number of cos blocks, and for
+    all blocks (cos first, each series from its highest block down) the
+    c_0 and the zero-padded (c_1, ..., c_p) rows.
+    """
+    series = ([(-1) ** k / math.factorial(2 * k) for k in range(degree // 2 + 1)],
+              [(-1) ** (k + 1) / math.factorial(2 * k + 1)
+               for k in range((degree + 1) // 2)])
+    top = len(series[0]) - 1  # highest power of Y either series needs
+    r = min(range(1, top + 2), key=lambda r: min(r, top) - 1 + sum(
+        -(-len(c) // r) - 1 for c in series))
+    count = min(r, top)
+    rows = [(c[k], c[k + 1:k + r]) for c in series for k in reversed(range(0, len(c), r))]
+    firsts = np.array([first for first, _ in rows])
+    tails = np.zeros((len(rows), count))
+    for row, (_, tail) in enumerate(rows):
+        tails[row, :len(tail)] = tail
+    for arr in (firsts, tails):
+        arr.setflags(write=False)
+    return count, -(-len(series[0]) // r), firsts, tails
+
+
+def _horner(blocks: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """sum_j blocks[-1-j] step^j, the blocks given highest first."""
+    out = blocks[0]
+    for block in blocks[1:]:
+        out = out @ step
+        out += block
+    return out
+
 
 def _expm(generators: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i tau H) for a real symmetric H or a stack of them, via eigh."""
-    evals, evecs = np.linalg.eigh(generators)
-    phases = np.exp(-1j * tau * evals)
-    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
+    """exp(-i tau G) for a real symmetric G or a stack of them, as
+    cos X - i sin X with X = tau G, by a truncated Taylor series in real
+    matrix products (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009).
+
+    theta, the largest absolute row sum of X over the stack, bounds the
+    spectral norm of every symmetric X.  When theta > 1, X is scaled by
+    2^-s to theta <= 1 and the result squared s times.  The degree J is
+    the smallest with theta^(J+1)/(J+1)! e^theta <= 2^-53, which bounds
+    the truncation error of both series; cos X and sin X = X q(X^2) are
+    evaluated as polynomials in Y = X^2 by Paterson-Stockmeyer.  A
+    non-finite theta raises ValueError.
+    """
+    x = tau * np.asarray(generators, dtype=float)
+    theta = float(np.abs(x).sum(axis=-1).max())
+    if not math.isfinite(theta):
+        raise ValueError(f"exponent norm must be finite, got {theta}")
+    squarings = max(0, math.ceil(math.log2(theta))) if theta > 1.0 else 0
+    if squarings:
+        x /= 2.0 ** squarings
+        theta /= 2.0 ** squarings
+    degree, remainder = 0, theta
+    while remainder * math.exp(theta) > _UNIT_ROUNDOFF:
+        degree += 1
+        remainder *= theta / (degree + 1)
+    count, cos_count, firsts, tails = _taylor_plan(degree)
+    powers = np.empty((count,) + x.shape)  # Y, Y^2, ..., Y^count
+    if count:
+        np.matmul(x, x, out=powers[0])
+    for k in range(1, count):
+        np.matmul(powers[k - 1], powers[0], out=powers[k])
+    # every block of both series in one product, then c_0 on the diagonals
+    d = x.shape[-1]
+    blocks = (tails @ powers.reshape(count, x.size)).reshape((len(tails),) + x.shape)
+    blocks.reshape(len(tails), -1, d * d)[..., ::d + 1] += firsts[:, None, None]
+    step = powers[-1] if count else None  # Y^r wherever a series has two blocks
+    out = np.empty(x.shape, dtype=complex)
+    out.real = _horner(blocks[:cos_count], step)
+    out.imag = x @ _horner(blocks[cos_count:], step) if len(blocks) > cos_count else 0.0
+    for _ in range(squarings):
+        out = out @ out
+    return out
 
 
 def _block_norm(blocks: list[np.ndarray]) -> float:
@@ -78,6 +163,13 @@ def node_times(scheme, t0: float, h: float) -> np.ndarray:
     return t0 + h / 2.0 + scheme.nodes * h / 2.0
 
 
+def _require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _exponent_weights(scheme, model, t0: float, h: float):
     """Exchange and field weights of the m exponents: exponent i is
     exchange[i] * C + diag(fields[i] . sigma^z), i.e. sum_k z_ik H(t_k)."""
@@ -86,11 +178,16 @@ def _exponent_weights(scheme, model, t0: float, h: float):
 
 
 def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
-    """One step of a non-split scheme with exact exponentials."""
+    """One step of a non-split scheme with exact exponentials.
+
+    A non-finite ``t0`` or ``h`` raises ValueError before any matrix work,
+    as in :func:`split_step` and :func:`trotterized_cfqm_step`.
+    """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; use split_step")
+    _require_finite(t0=t0, h=h)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
-    # one batched eigh per group over all m exponents; exponent m acts first
+    # one exponential stack per group over all m exponents; exponent m acts first
     return _scatter(model.n, [
         _tree_product(_expm(generators, h)[::-1])
         for generators in spin_model.sector_generators(model, exchange, fields)])
@@ -116,6 +213,7 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
+    _require_finite(t0=t0, h=h)
     n = model.n
     fields = scheme.sigma @ np.stack(
         [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)])
@@ -266,6 +364,7 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
+    _require_finite(t0=t0, h=h)
     n = model.n
     spin_model.require_dense(n)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
@@ -315,14 +414,13 @@ def _midpoint_product(model, t0: float, t1: float, num_steps: int) -> list[np.nd
     """Sector blocks of num_steps exact midpoint micro-steps over [t0, t1]."""
     h_micro = (t1 - t0) / num_steps
     mids = t0 + (np.arange(num_steps) + 0.5) * h_micro
-    chunk_size = max(16, _EIGH_BATCH_ENTRIES // model.dim ** 2)
-    groups = spin_model.sector_groups(model.n)
+    chunk_size = max(16, _REFERENCE_CHUNK_BUDGET // model.dim ** 2)
     blocks = [np.tile(np.eye(rows.shape[1], dtype=complex), (len(rows), 1, 1))
-              for rows, _ in groups]
+              for rows, _ in spin_model.sector_groups(model.n)]
     for start in range(0, num_steps, chunk_size):
         hams = spin_model.hamiltonians_at(model, mids[start:start + chunk_size])
-        blocks = [_reunitarize(_tree_product(_expm(hams[:, rows, cols], h_micro)) @ u)
-                  for (rows, cols), u in zip(groups, blocks)]
+        blocks = [_reunitarize(_tree_product(_expm(stack, h_micro)) @ u)
+                  for stack, u in zip(hams, blocks)]
     return blocks
 
 
@@ -346,9 +444,7 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
     marked read-only because cache entries are shared.  A non-finite
     ``t0``, ``t1`` or ``tol`` raises ValueError before any matrix work.
     """
-    for name, value in (("t0", t0), ("t1", t1), ("tol", tol)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    _require_finite(t0=t0, t1=t1, tol=tol)
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if tol <= 0:

@@ -22,19 +22,23 @@ Two decompositions of H(t) are provided:
   part and the diagonal of the field part, each self-commuting across
   times, as required by the split schemes.
 
-Every dense generator the propagators exponentiate has the form
+Every generator the propagators exponentiate has the form
 ``a * C + diag(f . sigma^z)``: H(t) itself (a = 1, f the field amplitudes
 at t) and each CFQM exponent sum_k z_ik H(t_k) (a = sum_k z_ik, f the
 same weighted sum of amplitudes).  ``dense_generators`` builds any batch
-of them from those weights, and ``hamiltonian_at`` / ``hamiltonians_at``
-are its unit-exchange cases.
+of them from those weights, and ``hamiltonian_at`` is its unit-exchange
+case.
 
 C and the sigma^z fields conserve sum_i sigma_i^z, so every generator and
 every propagator built from them is block-diagonal over the n + 1 sectors
 of k spins down (k set bits of the index), of sizes binomial(n, k).
-``sector_groups`` pairs sector k with the equally large sector n - k;
-``sector_generators`` and ``sector_coupling_eigh`` give the generators and
-the exchange eigenbasis per group.  Public matrices stay dense 2^n x 2^n.
+``sector_groups`` pairs sector k with the equally large sector n - k.
+``sector_generators`` builds the generators per group from cached blocks
+of C and the field diagonal, never the dense matrix, bit for bit equal to
+the gathered ``dense_generators``; ``hamiltonians_at`` is its
+unit-exchange case over many times, and ``sector_coupling_eigh`` gives the
+exchange eigenbasis per group.  ``hamiltonian_at`` and the other public
+single matrices stay dense 2^n x 2^n.
 
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
 matrices and has no such limit.
@@ -200,23 +204,42 @@ def sector_groups(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 @lru_cache(maxsize=8)
+def _sector_coupling(n: int) -> tuple[np.ndarray, ...]:
+    """Per group of :func:`sector_groups`, the (g, d_k, d_k) blocks of the
+    exchange part, gathered once per chain length."""
+    out = tuple(_coupling_matrix(n)[rows, cols] for rows, cols in sector_groups(n))
+    for block in out:
+        block.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=8)
 def sector_coupling_eigh(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per group of :func:`sector_groups`, the eigenvalues (g, d_k) and
     real orthonormal eigenvectors (g, d_k, d_k) of the exchange part's
     blocks, computed once per chain length."""
     out = []
-    for rows, cols in sector_groups(n):
-        out.append(np.linalg.eigh(_coupling_matrix(n)[rows, cols]))
+    for block in _sector_coupling(n):
+        out.append(np.linalg.eigh(block))
         for arr in out[-1]:
             arr.setflags(write=False)
     return tuple(out)
 
 
 def sector_generators(model: HeisenbergModel, exchange, fields) -> list[np.ndarray]:
-    """:func:`dense_generators` gathered per group of :func:`sector_groups`:
-    one ``batch + (g, d_k, d_k)`` stack per group."""
-    dense = dense_generators(model, exchange, fields)
-    return [dense[..., rows, cols] for rows, cols in sector_groups(model.n)]
+    """:func:`dense_generators` per group of :func:`sector_groups`, built
+    from the cached blocks of C and one diagonal product, without the
+    dense matrix: one ``batch + (g, d_k, d_k)`` stack per group, equal bit
+    for bit to the gathered dense generators."""
+    exchange = np.asarray(exchange, dtype=float)[..., None, None, None]
+    diagonal = fields @ _site_z_diagonals(model.n)
+    out = []
+    for (rows, _), coupling in zip(sector_groups(model.n), _sector_coupling(model.n)):
+        block = exchange * coupling
+        idx = np.arange(block.shape[-1])
+        block[..., idx, idx] += diagonal[..., rows[..., 0]]
+        out.append(block)
+    return out
 
 
 def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:
@@ -224,10 +247,12 @@ def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:
     return dense_generators(model, 1.0, field_amplitudes(model, t))
 
 
-def hamiltonians_at(model: HeisenbergModel, times) -> np.ndarray:
-    """Stack of dense H(t) over ``times``, shape (len(times), 2^n, 2^n)."""
+def hamiltonians_at(model: HeisenbergModel, times) -> list[np.ndarray]:
+    """H(t) over ``times`` as sector blocks: per group of
+    :func:`sector_groups`, one (len(times), g, d_k, d_k) stack, equal to
+    ``hamiltonian_at(model, t)[rows, cols]`` for each time."""
     ts = np.asarray(times, dtype=float).ravel()
-    return dense_generators(model, np.ones(ts.size), field_amplitudes(model, ts))
+    return sector_generators(model, np.ones(ts.size), field_amplitudes(model, ts))
 
 
 def local_terms(n: int, parity: int, exchange, fields):

@@ -8,10 +8,11 @@ the closed forms against them.  Likewise :func:`dense_cfqm_step` sums
 dense node Hamiltonians into each exponent, :func:`dense_trotterized_step`
 runs the product formula with dense d x d exponentials of the split
 parts, :func:`dense_reference_propagator` composes and extrapolates dense
-d x d midpoint micro-steps, and :func:`scalar_compute_cbar` scans the
-xbar coefficients one (i, j) at a time: the routes the runtime's
-weight-built sector exponents, local gates, sector blocks and vectorised
-scan replace.  None of this is used at run time.
+d x d midpoint micro-steps exponentiated by ``eigh``, and
+:func:`scalar_compute_cbar` scans the xbar coefficients one (i, j) at a
+time: the routes the runtime's
+weight-built sector exponents, local gates, sector blocks, Taylor
+exponentials and vectorised scan replace.  None of this is used at run time.
 
 A *composition* of p >= 1 is an ordered tuple of positive integers summing
 to p; there are 2**(p-1) of them.  A *weak composition* of d into m parts
@@ -34,9 +35,8 @@ import numpy as np
 
 from cfqm import spin_model
 from cfqm.propagators import (
-    _EIGH_BATCH_ENTRIES,
+    _REFERENCE_CHUNK_BUDGET,
     _REFERENCE_MAX_STEPS,
-    _expm,
     _reunitarize,
     _suzuki_stages,
     _tree_product,
@@ -209,10 +209,11 @@ def scalar_compute_cbar(scheme, c: float) -> float:
 
 
 def expm_antihermitian(h_mat: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i tau H) for Hermitian H, via eigendecomposition."""
+    """exp(-i tau H) for a Hermitian H or a stack of them, via
+    eigendecomposition."""
     evals, evecs = np.linalg.eigh(h_mat)
     phases = np.exp(-1j * tau * evals)
-    return (evecs * phases) @ evecs.conj().T
+    return (evecs * phases[..., None, :]) @ np.swapaxes(evecs.conj(), -1, -2)
 
 
 def dense_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
@@ -291,11 +292,13 @@ def dense_midpoint_product(model, t0: float, t1: float, num_steps: int) -> np.nd
     """Compose num_steps exact midpoint-rule micro-steps over [t0, t1]."""
     h_micro = (t1 - t0) / num_steps
     mids = t0 + (np.arange(num_steps) + 0.5) * h_micro
-    chunk_size = max(16, _EIGH_BATCH_ENTRIES // model.dim ** 2)
+    chunk_size = max(16, _REFERENCE_CHUNK_BUDGET // model.dim ** 2)
     u = np.eye(model.dim, dtype=complex)
     for start in range(0, num_steps, chunk_size):
         chunk = mids[start:start + chunk_size]
-        steps = _expm(spin_model.hamiltonians_at(model, chunk), h_micro)
+        hams = spin_model.dense_generators(
+            model, np.ones(chunk.size), spin_model.field_amplitudes(model, chunk))
+        steps = expm_antihermitian(hams, h_micro)
         u = _reunitarize(_tree_product(steps) @ u)
     return u
 

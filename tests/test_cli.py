@@ -1,9 +1,8 @@
 """End-to-end CLI behaviour, run in-process through cli.main."""
 
-import numpy as np
 import pytest
 
-from cfqm import cli
+from cfqm import cli, spin_model
 
 
 def test_grid_parser():
@@ -162,7 +161,9 @@ def test_verify_order_rejects_non_finite_inputs(monkeypatch, capsys, flag, value
     def no_matrix_work(*args, **kwargs):
         raise AssertionError("matrix work before the input check")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_matrix_work)
+    # the exact step's exponents and the reference's micro-steps both
+    # start from sector_generators
+    monkeypatch.setattr(spin_model, "sector_generators", no_matrix_work)
     rc = cli.main(["verify-order", "--scheme", "CF4-2", "--spins", "3",
                    flag, value])
     captured = capsys.readouterr()

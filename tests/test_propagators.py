@@ -1,6 +1,7 @@
 """Matrix-level propagators: exponentials, product formulas, references."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     dense_cfqm_step,
     dense_reference_propagator,
     dense_trotterized_step,
+    expm_antihermitian,
     per_factor_split_step,
 )
 
@@ -41,6 +43,36 @@ def test_expm_antihermitian_pauli_x_closed_form():
     stack = _expm(np.stack([sx, 2.0 * sx]), tau)
     assert stack[0] == pytest.approx(want, abs=1e-14)
     assert stack[1] == pytest.approx(_expm(sx, 2.0 * tau), abs=1e-14)
+
+
+@pytest.mark.parametrize("theta", [1e-3, 0.04, 0.5, 1.0, 1.5, 4.0, 20.0])
+@pytest.mark.parametrize("d", [1, 2, 8, 35, 70])
+def test_expm_matches_eigh_oracle(d, theta):
+    # random symmetric stacks whose largest absolute row sum is theta: the
+    # Taylor degree, the Paterson-Stockmeyer blocks and (theta > 1) the
+    # squarings all vary across the grid
+    rng = np.random.default_rng(d)
+    stack = rng.normal(size=(3, d, d))
+    stack = stack + np.swapaxes(stack, -1, -2)
+    stack *= theta / np.abs(stack).sum(axis=-1).max()
+    for tau in (1.0, -0.5):
+        u = _expm(stack / tau, tau)
+        want = expm_antihermitian(stack, 1.0)
+        assert np.linalg.norm(u - want, 2, axis=(-2, -1)).max() <= 1e-13
+        defect = np.swapaxes(u.conj(), -1, -2) @ u - np.eye(d)
+        assert np.linalg.norm(defect, 2, axis=(-2, -1)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_expm_rejects_non_finite_exponents(bad):
+    h = spin_model.hamiltonian_at(random_model(2, seed=1), 0.3)
+    poisoned = h.copy()
+    poisoned[1, 2] = poisoned[2, 1] = bad
+    with pytest.raises(ValueError, match="exponent norm must be finite"):
+        _expm(poisoned, 0.1)
+    with pytest.raises(ValueError, match="exponent norm must be finite"), \
+            np.errstate(invalid="ignore"):  # inf * 0 entries
+        _expm(h, bad)
 
 
 def test_node_times_centered_gauss():
@@ -178,11 +210,46 @@ def test_reference_rejects_non_finite_inputs(monkeypatch, t0, t1, tol, detail):
     def no_matrix_work(*args, **kwargs):
         raise AssertionError("matrix work before the input check")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_matrix_work)
+    # every micro-step chunk starts from hamiltonians_at
+    monkeypatch.setattr(spin_model, "hamiltonians_at", no_matrix_work)
     monkeypatch.setattr(propagators, "_REFERENCE_CACHE", NoLookup())
     with pytest.raises(ValueError) as err:
         reference_propagator(random_model(3, seed=1), t0, t1, tol=tol)
     assert str(err.value) == detail
+
+
+@pytest.mark.parametrize("t0,h,detail", [
+    (math.nan, 0.2, "t0 must be finite, got nan"),
+    (math.inf, 0.2, "t0 must be finite, got inf"),
+    (0.3, math.nan, "h must be finite, got nan"),
+    (0.3, -math.inf, "h must be finite, got -inf"),
+])
+@pytest.mark.parametrize("step,scheme_id", [
+    (cfqm_step, "CF4-2"), (trotterized_cfqm_step, "CF4-2"), (split_step, "GS6-4"),
+])
+def test_steps_reject_non_finite_inputs(monkeypatch, step, scheme_id, t0, h, detail):
+    def no_matrix_work(*args, **kwargs):
+        raise AssertionError("matrix work before the input check")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_matrix_work)
+    monkeypatch.setattr(propagators, "_expm", no_matrix_work)
+    with pytest.raises(ValueError) as err:
+        step(schemes.load_scheme(scheme_id), random_model(3, seed=1), t0, h)
+    assert str(err.value) == detail
+
+
+def test_reference_memory_stays_on_sector_blocks(monkeypatch):
+    # the micro-step chunks are built as sector blocks: at n = 8 a dense
+    # (64, 256, 256) chunk alone would be 32 MB
+    model = random_model(8, seed=1)
+    monkeypatch.setattr(propagators, "_REFERENCE_CACHE", {})
+    tracemalloc.start()
+    try:
+        reference_propagator(model, 0.3, 0.5, tol=1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 def test_midpoint_rule_is_second_order():

@@ -79,9 +79,14 @@ def test_split_parts_are_disjoint_blocks():
 def test_hamiltonians_at_batches_match_single_calls():
     model = random_model(4, seed=5)
     times = np.array([0.0, 0.4, 3.3])
-    batch = hamiltonians_at(model, times)
-    for k, t in enumerate(times):
-        assert batch[k] == pytest.approx(hamiltonian_at(model, t))
+    stacks = hamiltonians_at(model, times)
+    groups = spin_model.sector_groups(model.n)
+    assert len(stacks) == len(groups)
+    for stack, (rows, cols) in zip(stacks, groups):
+        assert stack.shape == (len(times),) + np.broadcast_shapes(rows.shape, cols.shape)
+        for k, t in enumerate(times):
+            assert stack[k] == pytest.approx(hamiltonian_at(model, t)[rows, cols],
+                                             rel=0.0, abs=1e-15)
 
 
 def test_random_model_seeded_and_ranged():
