@@ -21,6 +21,11 @@ than returning a number that means nothing.
 
 Each bound is evaluated by its closed form alone; the identities behind
 the closed forms are pinned by the test suite against independent oracles.
+The h-independent coefficients of the two series are cached per constant
+(G_p per c, the product inner sums per cbar * m) and extended on demand by
+the same float loops, so a bound's value does not depend on what ran
+before it, bit for bit.  Non-finite inputs raise ValueError before any
+series work.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentRegimeError, EpsilonTooLargeError
+from .errors import DivergentRegimeError, EpsilonTooLargeError, require_finite
 from .series_core import sum_tail
 
 
@@ -89,6 +94,7 @@ def magnus_remainder(c: float, h: float, s: int, rel_tol: float = 1e-6) -> float
         raise ValueError(f"h must be positive, got {h}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    require_finite(c=c, h=h)
     if h >= 2.0 or 2.0 * c * (-math.log1p(-h / 2.0)) >= 1.0:
         raise DivergentRegimeError(
             f"Magnus remainder series diverges at h={h}, c={c}: "
@@ -103,6 +109,43 @@ def magnus_remainder(c: float, h: float, s: int, rel_tol: float = 1e-6) -> float
 # ---------------------------------------------------------------------------
 
 
+class _ProductCoefficients:
+    """Inner sums inner(p) = sum_{z=1}^{p} binomial(p-1, z-1) u**z / z! of
+    the product remainder for a fixed u = cbar * m, extended on demand.
+
+    a_z = binomial(p-1, z-1) u**z / z! is accumulated multiplicatively:
+    plain float products cannot trip the integer-to-float conversion
+    overflow that comb/factorial would at large p.  An order whose a_z
+    overflows is stored as None; its term is inf (not h**p * inf, which is
+    nan once h**p underflows), which the stopping rule then reports as a
+    divergent regime.
+    """
+
+    def __init__(self, u: float):
+        self._u = u
+        self._inner = [0.0]  # the empty sum of order 0
+
+    def __getitem__(self, p: int) -> float | None:
+        u, inner = self._u, self._inner
+        while len(inner) <= p:
+            q = len(inner)
+            a = u
+            acc = u
+            for z in range(1, q):
+                a = a * (q - z) * u / (z * (z + 1))
+                if not math.isfinite(a):
+                    acc = None
+                    break
+                acc += a
+            inner.append(acc)
+        return inner[p]
+
+
+@lru_cache(maxsize=64)
+def _product_table(u: float) -> _ProductCoefficients:
+    return _ProductCoefficients(u)
+
+
 def cfqm_remainder(cbar: float, h: float, s: int, m: int,
                    rel_tol: float = 1e-6) -> float:
     """Bound on the distance between the m-exponential product and
@@ -115,8 +158,11 @@ def cfqm_remainder(cbar: float, h: float, s: int, m: int,
     summed from p = 2s+1 under the shared stopping rule.  The binomial
     counts compositions of p by number of parts and the (cbar m)**z / z!
     factor is the weak-composition factorial sum (both identities are
-    pinned by the test suite).  For s = 1 the single-exponential
-    scheme reproduces exp(Omega^[2]) identically, so the remainder is 0.
+    pinned by the test suite).  The inner sums do not depend on h: they
+    are cached per cbar * m and computed by the same loop on first use, so
+    every value is the same float whichever h came first.  For s = 1 the
+    single-exponential scheme reproduces exp(Omega^[2]) identically, so
+    the remainder is 0.
     """
     if cbar <= 0:
         raise ValueError(f"cbar must be positive, got {cbar}")
@@ -124,27 +170,17 @@ def cfqm_remainder(cbar: float, h: float, s: int, m: int,
         raise ValueError(f"h must be positive, got {h}")
     if s < 1 or m < 1:
         raise ValueError(f"s and m must be >= 1, got s={s}, m={m}")
+    require_finite(cbar=cbar, h=h)
     if s == 1:
         return 0.0
     if h >= 1.0:
         raise DivergentRegimeError(
             f"product-vs-truncation remainder requires h < 1, got h={h}")
-    u = cbar * m
+    table = _product_table(cbar * m)
 
     def term(p: int) -> float:
-        # a_z = binomial(p-1, z-1) u**z / z!, accumulated multiplicatively:
-        # plain float products cannot trip the integer-to-float conversion
-        # overflow that comb/factorial would at large p, and a genuinely
-        # astronomical order saturates to inf, which the stopping rule then
-        # reports as a divergent regime.
-        a = u
-        inner = u
-        for z in range(1, p):
-            a = a * (p - z) * u / (z * (z + 1))
-            if not math.isfinite(a):
-                return math.inf
-            inner += a
-        return h ** p * inner
+        inner = table[p]
+        return math.inf if inner is None else h ** p * inner
 
     return sum_tail(term, 2 * s + 1, rel_tol)
 
@@ -177,6 +213,7 @@ def quadrature_remainder(y, c: float, h: float, s: int) -> float:
         raise ValueError(f"c must be positive, got {c}")
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
+    require_finite(c=c, h=h)
     if h >= 2.0:
         raise DivergentRegimeError(
             f"quadrature remainder requires h < 2, got h={h}")
@@ -186,8 +223,13 @@ def quadrature_remainder(y, c: float, h: float, s: int) -> float:
     prefactor = (h ** (2 * s + 1) * math.factorial(s) ** 4
                  / ((2 * s + 1) * math.factorial(2 * s) ** 3))
     inner = _quadrature_inner_sum(c, h, s)
-    weights = sum(abs(ymat[i, g]) / h ** g
-                  for i in range(ymat.shape[0]) for g in range(s))
+    # row by row, left to right, in Python floats (not sum(), which
+    # compensates floats from Python 3.12 on)
+    scales = [h ** g for g in range(s)]
+    weights = 0.0
+    for row in np.abs(ymat).tolist():
+        for y_abs, scale in zip(row, scales):
+            weights += y_abs / scale
     return prefactor * inner * weights
 
 
@@ -227,13 +269,16 @@ def trotter_step_error(z, n: int, h: float, s: int) -> float:
         raise ValueError(f"h must be positive, got {h}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    require_finite(h=h)
     zmat = np.atleast_2d(np.asarray(z, dtype=float))
     const = _trotter_stage_constant(n, s)
     fact = math.factorial(2 * s + 1)
     total = 0.0
-    for i in range(zmat.shape[0]):
-        z_i = np.abs(zmat[i]).sum() / (4.0 * n)
-        total += const * (z_i * h) ** (2 * s + 1) / fact
+    for row in np.abs(zmat).tolist():
+        row_sum = 0.0  # left to right, as numpy sums rows this short
+        for z_abs in row:
+            row_sum += z_abs
+        total += const * (row_sum / (4.0 * n) * h) ** (2 * s + 1) / fact
     return total
 
 
@@ -320,6 +365,7 @@ def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> i
         raise ValueError("lam, h and eps_step must be positive")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
+    require_finite(lam=lam, h=h, eps_step=eps_step)
     limit = 0.9 * (5.0 / 3.0) ** s * lam * h
     if eps_step > limit:
         raise EpsilonTooLargeError(

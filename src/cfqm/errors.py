@@ -3,7 +3,17 @@
 Every guard that protects a mathematical precondition raises one of these
 instead of returning garbage, so callers (and the CLI) can distinguish
 "the bound does not apply here" from "the computation failed".
+:func:`require_finite` is the one check for non-finite inputs.
 """
+
+import math
+
+
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class DivergentRegimeError(ValueError):

@@ -41,6 +41,7 @@ from .errors import (
     GridTooFineError,
     InfeasiblePlanError,
     ReferenceConvergenceError,
+    require_finite,
 )
 
 MAX_STEPS = 2 ** 32
@@ -67,6 +68,7 @@ class ModelBounds:
     def __post_init__(self) -> None:
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
+        require_finite(c=self.c)
         if not float(self.n).is_integer():
             raise ValueError(f"n must be an integer, got {self.n}")
         if self.n < 2:
@@ -138,9 +140,7 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
     r <= 2**32 works; the message distinguishes budgets the bounds can
     never certify from guards that never engaged.
     """
-    for name, value in (("total_time", total_time), ("epsilon", epsilon)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    require_finite(total_time=total_time, epsilon=epsilon)
     if total_time <= 0:
         raise ValueError(f"total_time must be positive, got {total_time}")
     if epsilon <= 0:
@@ -422,8 +422,7 @@ def verify_order(scheme, model, h_grid, t0: float = 0.0,
     or step size raises ValueError before any matrix is built.
     """
     hs = np.sort(np.asarray(h_grid, dtype=float))
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
+    require_finite(t0=t0)
     if not np.all(np.isfinite(hs)):
         raise ValueError(f"step sizes must be finite, got {list(map(float, h_grid))}")
     if hs.size < 2:

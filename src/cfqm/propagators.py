@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spin_model
-from .errors import ReferenceConvergenceError
+from .errors import ReferenceConvergenceError, require_finite
 
 #: Micro-steps per chunk of the reference propagator, as a budget of chunk
 #: * 4^n (at least 16 steps): each chunk is exponentiated as one stack and
@@ -163,13 +163,6 @@ def node_times(scheme, t0: float, h: float) -> np.ndarray:
     return t0 + h / 2.0 + scheme.nodes * h / 2.0
 
 
-def _require_finite(**values: float) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
 def _exponent_weights(scheme, model, t0: float, h: float):
     """Exchange and field weights of the m exponents: exponent i is
     exchange[i] * C + diag(fields[i] . sigma^z), i.e. sum_k z_ik H(t_k)."""
@@ -185,7 +178,7 @@ def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; use split_step")
-    _require_finite(t0=t0, h=h)
+    require_finite(t0=t0, h=h)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
     # one exponential stack per group over all m exponents; exponent m acts first
     return _scatter(model.n, [
@@ -213,7 +206,7 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
-    _require_finite(t0=t0, h=h)
+    require_finite(t0=t0, h=h)
     n = model.n
     fields = scheme.sigma @ np.stack(
         [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)])
@@ -364,7 +357,7 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
-    _require_finite(t0=t0, h=h)
+    require_finite(t0=t0, h=h)
     n = model.n
     spin_model.require_dense(n)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
@@ -444,7 +437,7 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
     marked read-only because cache entries are shared.  A non-finite
     ``t0``, ``t1`` or ``tol`` raises ValueError before any matrix work.
     """
-    _require_finite(t0=t0, t1=t1, tol=tol)
+    require_finite(t0=t0, t1=t1, tol=tol)
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
     if tol <= 0:

@@ -34,10 +34,10 @@ every propagator built from them is block-diagonal over the n + 1 sectors
 of k spins down (k set bits of the index), of sizes binomial(n, k).
 ``sector_groups`` pairs sector k with the equally large sector n - k.
 ``sector_generators`` builds the generators per group from cached blocks
-of C and the field diagonal, never the dense matrix, bit for bit equal to
-the gathered ``dense_generators``; ``hamiltonians_at`` is its
-unit-exchange case over many times, and ``sector_coupling_eigh`` gives the
-exchange eigenbasis per group.  ``hamiltonian_at`` and the other public
+of C, built from the sector states, and the field diagonal, never the
+dense matrix, bit for bit equal to the gathered ``dense_generators``;
+``hamiltonians_at`` is its unit-exchange case over many times, and
+``sector_coupling_eigh`` gives the exchange eigenbasis per group.  ``hamiltonian_at`` and the other public
 single matrices stay dense 2^n x 2^n.
 
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
@@ -203,11 +203,28 @@ def sector_groups(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(groups)
 
 
+def _sector_exchange(n: int, states: np.ndarray) -> np.ndarray:
+    """Block of the exchange part C on the ascending basis ``states`` of one
+    sector.  The bonds are the pairs of adjacent bits (j, j+1); each adds 1
+    to the diagonal of a state whose two bits agree, -1 where they differ,
+    and 2 between such a state and its copy with both bits flipped.  The
+    integer sums over 4n are exactly the entries of the dense C."""
+    idx = np.arange(states.size)
+    block = np.zeros((states.size, states.size))
+    for j in range(n - 1):
+        differ = ((states >> j) ^ (states >> (j + 1))) & 1 == 1
+        block[idx, idx] += np.where(differ, -1.0, 1.0)
+        block[idx[differ], np.searchsorted(states, states[differ] ^ (3 << j))] = 2.0
+    return block / (4.0 * n)
+
+
 @lru_cache(maxsize=8)
 def _sector_coupling(n: int) -> tuple[np.ndarray, ...]:
     """Per group of :func:`sector_groups`, the (g, d_k, d_k) blocks of the
-    exchange part, gathered once per chain length."""
-    out = tuple(_coupling_matrix(n)[rows, cols] for rows, cols in sector_groups(n))
+    exchange part, built from the sector states once per chain length,
+    without the dense C."""
+    out = tuple(np.stack([_sector_exchange(n, states) for states in rows[..., 0]])
+                for rows, _ in sector_groups(n))
     for block in out:
         block.setflags(write=False)
     return out

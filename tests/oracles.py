@@ -4,8 +4,10 @@ the structured propagators.
 ``cfqm.bounds`` evaluates each bound by its closed form only.  The helpers
 here rebuild the same quantities by other means (enumeration, exact
 ``Fraction`` series, a composition dynamic program) so the tests can pin
-the closed forms against them.  Likewise :func:`dense_cfqm_step` sums
-dense node Hamiltonians into each exponent, :func:`dense_trotterized_step`
+the closed forms against them; :func:`uncached_product_term` rebuilds
+the product remainder's h-independent inner sum on every call, which
+``bounds`` caches.  Likewise :func:`dense_cfqm_step` sums dense node
+Hamiltonians into each exponent, :func:`dense_trotterized_step`
 runs the product formula with dense d x d exponentials of the split
 parts, :func:`dense_reference_propagator` composes and extrapolates dense
 d x d midpoint micro-steps exponentiated by ``eigh``, and
@@ -186,6 +188,20 @@ def magnus_coeffs_dp(c: float, pmax: int) -> list[float]:
     for p in range(1, pmax + 1):
         out[p] = sum(big_f[z][p] / math.factorial(z) for z in range(1, p + 1))
     return out
+
+
+def uncached_product_term(u: float, h: float, p: int) -> float:
+    """Order-p term h**p * sum_{z=1}^{p} binomial(p-1, z-1) u**z / z! of the
+    product remainder, with the inner sum rebuilt on every call: the loop
+    ``cfqm.bounds`` now runs once per u and caches."""
+    a = u
+    inner = u
+    for z in range(1, p):
+        a = a * (p - z) * u / (z * (z + 1))
+        if not math.isfinite(a):
+            return math.inf
+        inner += a
+    return h ** p * inner
 
 
 def scalar_compute_cbar(scheme, c: float) -> float:

@@ -1,10 +1,13 @@
-"""The kernels still reproduce the benchmark's pinned golden round.
+"""The kernels and the planner still reproduce the benchmark's goldens.
 
 ``bench/golden.json`` records the outputs of the pinned seed's rounds; the
 benchmark checks them on every run, but a kernel that drifts beyond the
 golden tolerances would otherwise only show there.  This replays round 0
 of ``propagate-large`` (every dense step kind at n = 7-8, no reference)
-exactly as ``bench/worker.py`` checks it, reading ``bench/`` only.
+and every ``plan-grid`` golden point (196 plans' step and exponential
+counts, exact, and the sha256 of one ``cfqm sweep`` CSV, whose %.17g
+bound columns pin the bounds bit for bit) exactly as ``bench/worker.py``
+checks them, reading ``bench/`` only.
 """
 
 import importlib.util
@@ -35,3 +38,15 @@ def test_propagate_large_pinned_round_matches_golden(monkeypatch, tmp_path):
         result = op.run()
         assert op.invariant(result) is None, op.key
         assert workloads.compare(op.summary(result), want, op.tolerances) is None, op.key
+
+
+def test_plan_grid_golden_points_match(monkeypatch, tmp_path):
+    workloads = _load_workloads(monkeypatch)
+    golden = json.loads((BENCH / "golden.json").read_text())["plan-grid"]
+    ops = workloads.plan_grid_round(workloads.PINNED_SEED, 0, str(tmp_path))
+    assert sorted(op.golden_key for op in ops) == sorted(golden["points"])
+    for op in ops:
+        result = op.run()
+        assert op.invariant(result) is None, op.key
+        assert workloads.compare(op.summary(result), golden["points"][op.golden_key],
+                                 op.tolerances) is None, op.key

@@ -3,6 +3,9 @@
 The Magnus remainder coefficients and the product-vs-truncation remainder
 are checked here against the composition DP and exact Fraction series of
 ``oracles``, which share no recurrence with the closed forms in ``bounds``.
+The cached product inner sums are checked with ``==`` against the
+uncached term of ``oracles``, and every bound must reject non-finite
+inputs before any series work.
 """
 
 import math
@@ -11,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfqm import bounds
+from cfqm import bounds, series_core
 from cfqm.bounds import (
     BoundParams,
     cfqm_remainder,
@@ -22,8 +25,15 @@ from cfqm.bounds import (
     trotter_step_error,
 )
 from cfqm.errors import DivergentRegimeError, EpsilonTooLargeError
-from cfqm.schemes import compute_cbar, load_scheme
-from oracles import PowerSeries, magnus_coeffs_dp, series_exp, series_geometric
+from cfqm.planner import ModelBounds
+from cfqm.schemes import SCHEME_IDS, compute_cbar, load_scheme
+from oracles import (
+    PowerSeries,
+    magnus_coeffs_dp,
+    series_exp,
+    series_geometric,
+    uncached_product_term,
+)
 
 
 def _magnus_series_fractions(c: Fraction, order: int) -> PowerSeries:
@@ -227,3 +237,109 @@ def test_step_error_rejects_mismatched_params():
     params = BoundParams(c=1.0, cbar=0.5, h=0.2, s=1, m=2, n=4)
     with pytest.raises(ValueError):
         step_error(scheme, params)
+
+
+def _value_or_divergent(fn, *args):
+    try:
+        return fn(*args)
+    except DivergentRegimeError:
+        return "divergent"
+
+
+def _uncached_cfqm_remainder(cbar, h, s, m):
+    u = cbar * m
+    return series_core.sum_tail(lambda p: uncached_product_term(u, h, p),
+                                2 * s + 1, 1e-6)
+
+
+def test_cfqm_remainder_cache_matches_uncached_oracle():
+    # every scheme's u = cbar * m (2m exponentials for split schemes; CF2-1,
+    # whose s = 1 has no product term, at s = 2), h ascending then
+    # descending, first cold and then warm: the cached inner sums give the
+    # same floats as rebuilding them on every call, divergence included
+    cases = []
+    for scheme_id in SCHEME_IDS:
+        scheme = load_scheme(scheme_id)
+        m = 2 * scheme.m if scheme.is_split else scheme.m
+        cases.append((compute_cbar(scheme, 1.0), max(scheme.s, 2), m))
+    hs = [0.002, 0.0185759637, 0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8]
+    want = {(case, h): _value_or_divergent(_uncached_cfqm_remainder, case[0], h,
+                                           *case[1:])
+            for case in cases for h in hs}
+    assert "divergent" in want.values()
+    bounds._product_table.cache_clear()
+    for _ in ("cold", "warm"):
+        for case in cases:
+            for h in hs + hs[::-1]:
+                got = _value_or_divergent(cfqm_remainder, case[0], h, *case[1:])
+                assert got == want[case, h], (case, h)
+    bounds._product_table.cache_clear()
+    for _ in ("cold", "warm"):
+        with pytest.raises(DivergentRegimeError):
+            cfqm_remainder(2.3, 0.9, 3, 20)
+    with pytest.raises(DivergentRegimeError):
+        _uncached_cfqm_remainder(2.3, 0.9, 3, 20)
+
+
+def test_cfqm_remainder_overflowing_orders_are_inf(monkeypatch):
+    # at u = 1000 the inner sum's terms overflow from order 284 on, where
+    # h**p has long underflowed to 0: the term must be inf there, as the
+    # uncached loop returns it, and never h**p * inf = nan
+    terms = []
+    monkeypatch.setattr(bounds, "sum_tail",
+                        lambda term, p_start, rel_tol: terms.append(term) or 0.0)
+    cfqm_remainder(250.0, 1e-3, 2, 4)
+    (term,) = terms
+    orders = range(5, 401)
+    values = [term(p) for p in orders]
+    assert values == [uncached_product_term(1000.0, 1e-3, p) for p in orders]
+    assert values[-1] == math.inf and 0.0 in values
+
+
+@pytest.fixture
+def no_series_work(monkeypatch):
+    """Make any tail sum fail and check the product cache stays untouched."""
+    def fail(*args, **kwargs):
+        raise AssertionError("series work before the input checks")
+
+    monkeypatch.setattr(bounds, "sum_tail", fail)
+    monkeypatch.setattr(series_core, "sum_tail", fail)
+    before = bounds._product_table.cache_info()
+    yield
+    assert bounds._product_table.cache_info() == before
+
+
+NON_FINITE_CALLS = {
+    "magnus c": (lambda x: magnus_remainder(x, 0.1, 2), "c"),
+    "magnus h": (lambda x: magnus_remainder(1.0, x, 2), "h"),
+    "cfqm cbar": (lambda x: cfqm_remainder(x, 0.1, 2, 2), "cbar"),
+    "cfqm h": (lambda x: cfqm_remainder(1.0, x, 2, 2), "h"),
+    "cfqm s=1": (lambda x: cfqm_remainder(x, 0.1, 1, 1), "cbar"),
+    "quadrature c": (lambda x: quadrature_remainder([[1.0, 0.5]], x, 0.1, 2), "c"),
+    "quadrature h": (lambda x: quadrature_remainder([[1.0, 0.5]], 1.0, x, 2), "h"),
+    "trotter h": (lambda x: trotter_step_error([[1.0, 0.5]], 4, x, 2), "h"),
+    "suzuki lam": (lambda x: suzuki_step_cost(2, x, 1.0, 1, 1e-3), "lam"),
+    "suzuki h": (lambda x: suzuki_step_cost(2, 1.0, x, 1, 1e-3), "h"),
+    "suzuki eps": (lambda x: suzuki_step_cost(2, 1.0, 1.0, 1, x), "eps_step"),
+    "model c": (lambda x: ModelBounds(c=x, n=4), "c"),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CALLS))
+def test_non_finite_inputs_fail_before_series_work(no_series_work, case, bad):
+    call, name = NON_FINITE_CALLS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$") as info:
+        call(bad)
+    assert type(info.value) is ValueError
+
+
+def test_negative_infinity_keeps_the_positivity_messages(no_series_work):
+    with pytest.raises(ValueError, match=r"^c must be positive, got -inf$"):
+        magnus_remainder(-math.inf, 0.1, 2)
+    with pytest.raises(ValueError, match=r"^h must be positive, got -inf$"):
+        cfqm_remainder(1.0, -math.inf, 2, 2)
+    with pytest.raises(ValueError, match=r"^c must be positive, got -inf$"):
+        ModelBounds(c=-math.inf, n=4)
+    with pytest.raises(ValueError, match=r"^lam, h and eps_step must be positive$"):
+        suzuki_step_cost(2, 1.0, -math.inf, 1, 1e-3)

@@ -193,6 +193,20 @@ def test_sector_groups_partition_the_basis():
         assert sorted(seen) == list(range(2 ** n))
 
 
+def test_sector_coupling_equals_the_gathered_dense_exchange():
+    # built from the sector states, every block is exactly the dense C's
+    for n in range(2, 11):
+        spin_model._coupling_matrix.cache_clear()
+        spin_model._sector_coupling.cache_clear()
+        blocks = spin_model._sector_coupling(n)
+        assert spin_model._coupling_matrix.cache_info().currsize == 0
+        dense = spin_model._coupling_matrix(n)
+        for (rows, cols), block in zip(spin_model.sector_groups(n), blocks):
+            assert np.array_equal(block, dense[rows, cols])
+            assert not block.flags.writeable
+    spin_model._coupling_matrix.cache_clear()
+
+
 def test_hamiltonian_is_block_diagonal_over_sectors():
     # the exchange and the fields conserve sum sigma^z: the sector blocks
     # hold every nonzero, and sector_generators gathers exactly those blocks
