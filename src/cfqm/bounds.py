@@ -357,7 +357,8 @@ def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> i
 
     N = ceil(3 q lam h s (25/3)**s (lam h / eps_step)**(1/(2s))),
     valid for eps_step <= (9/10) (5/3)**s lam h; larger targets raise
-    :class:`EpsilonTooLargeError` (the cost model is vacuous there).
+    :class:`EpsilonTooLargeError` (the cost model is vacuous there), and a
+    count that overflows a float raises ValueError.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -373,4 +374,6 @@ def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> i
             f"for the order-{2 * s} Suzuki cost model")
     count = (3.0 * q * lam * h * s * (25.0 / 3.0) ** s
              * (lam * h / eps_step) ** (1.0 / (2 * s)))
+    if not math.isfinite(count):
+        raise ValueError(f"Suzuki step count overflows at h={h}, eps_step={eps_step}")
     return math.ceil(count)

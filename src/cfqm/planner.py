@@ -69,8 +69,11 @@ class ModelBounds:
         if self.c <= 0:
             raise ValueError(f"c must be positive, got {self.c}")
         require_finite(c=self.c)
-        if not float(self.n).is_integer():
+        # ints skip the float conversion, which overflows beyond ~1e308
+        if not isinstance(self.n, int) and not float(self.n).is_integer():
             raise ValueError(f"n must be an integer, got {self.n}")
+        if self.n > 2 ** 53:
+            raise ValueError(f"n must be at most 2**53, got {self.n}")
         if self.n < 2:
             raise ValueError(f"need at least two spins, got n={self.n}")
         object.__setattr__(self, "n", int(self.n))

@@ -15,7 +15,8 @@ propagator is block-diagonal over the magnetization sectors of
 eigenbasis of each block), the trotterized step (in the real eigenbases
 of the two parts of the odd/even split, whose factors become phases
 joined by one real change of basis) and the reference work on the
-per-group block stacks and scatter them into the dense result once.
+per-group block stacks and scatter them into the dense result once,
+through :func:`cfqm.spin_model.dense`.
 
 The exact step's exponents and the reference's micro-steps are
 exp(-i tau G) for real symmetric sector blocks G of small norm, which
@@ -138,14 +139,6 @@ def _block_norm(blocks: list[np.ndarray]) -> float:
     return max(float(np.linalg.svd(b, compute_uv=False)[..., 0].max()) for b in blocks)
 
 
-def _scatter(n: int, blocks: list[np.ndarray]) -> np.ndarray:
-    """The dense 2^n x 2^n matrix with the given per-group blocks."""
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for (rows, cols), block in zip(spin_model.sector_groups(n), blocks):
-        out[rows, cols] = block
-    return out
-
-
 def spectral_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Largest singular value of u - v, from its sector blocks when they
     hold all its nonzeros (as for any two propagators), else dense."""
@@ -181,7 +174,7 @@ def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     require_finite(t0=t0, h=h)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
     # one exponential stack per group over all m exponents; exponent m acts first
-    return _scatter(model.n, [
+    return spin_model.dense(model.n, [
         _tree_product(_expm(generators, h)[::-1])
         for generators in spin_model.sector_generators(model, exchange, fields)])
 
@@ -228,7 +221,7 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
             if coupling:
                 u = _real_left(evecs, exchange[i] * _real_left(evecs_t, u))
         blocks.append(u)
-    return _scatter(n, blocks)
+    return spin_model.dense(n, blocks)
 
 
 def _suzuki_stages(s: int) -> list[tuple[float, float]]:
@@ -365,7 +358,7 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     order = [part for part, _ in factors]
     taus = h * np.array([coeff for _, coeff in factors])
     blocks = []
-    for w, lam in _split_eigenbases(n, exchange / (4.0 * n), fields):
+    for w, lam in _split_eigenbases(n, exchange, fields):
         phases = np.exp(-1j * taus[:, None, None] * lam[:, order])[..., None]
         into_c = np.swapaxes(w[:, 1], -1, -2) @ w[:, 0]  # B eigenbasis -> C eigenbasis
         change = (np.ascontiguousarray(np.swapaxes(into_c, -1, -2)), into_c)
@@ -374,7 +367,7 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
             u = _real_left(change[order[j]], u)
             u *= phases[:, j]
         blocks.append(_tree_product(_real_left(w[:, order[-1]], u)[::-1]))
-    return _scatter(n, blocks)
+    return spin_model.dense(n, blocks)
 
 
 def _tree_product(steps: np.ndarray) -> np.ndarray:
@@ -461,7 +454,7 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
         raise ReferenceConvergenceError(
             f"midpoint reference did not converge to {tol} within "
             f"{_REFERENCE_MAX_STEPS} steps on [{t0}, {t1}]")
-    result = _scatter(model.n, ext)
+    result = spin_model.dense(model.n, ext)
     result.setflags(write=False)
     while len(_REFERENCE_CACHE) >= _REFERENCE_CACHE_LIMIT:
         _REFERENCE_CACHE.pop(next(iter(_REFERENCE_CACHE)))

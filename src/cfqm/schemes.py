@@ -118,28 +118,6 @@ def transform_matrices(s: int) -> TransformMatrices:
     return TransformMatrices(s=s, T=t, R=r, Q=q, nodes=nodes, weights=weights)
 
 
-def z_from_y(y: np.ndarray) -> np.ndarray:
-    """Quadrature-node coefficients z = y @ Q for averaged-basis rows y."""
-    ymat = np.atleast_2d(np.asarray(y, dtype=float))
-    return ymat @ transform_matrices(ymat.shape[1]).Q
-
-
-def split_maps(a_mat: np.ndarray, b_mat: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature-node coefficients (rho, sigma) for a split scheme given in
-    the graded basis.
-
-    ``a_mat`` and ``b_mat`` hold the graded coefficients of the T- and
-    V-family exponentials (one row per exponential, columns j = 1..s);
-    the returned rows satisfy rho = a_mat @ R @ Q and sigma = b_mat @ R @ Q.
-    """
-    tm = transform_matrices(s)
-    a = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    b = np.atleast_2d(np.asarray(b_mat, dtype=float))
-    if a.shape[1] != s or b.shape[1] != s:
-        raise ValueError(f"coefficient rows must have s={s} columns")
-    return a @ tm.R @ tm.Q, b @ tm.R @ tm.Q
-
-
 def xbar(y_row: np.ndarray, j: int) -> float:
     """Extended-basis coefficient xbar_j = sum_g y_g T[g, j] for one row,
     defined for every j >= 1 (not only j <= s)."""
@@ -220,8 +198,8 @@ def parse_scheme_text(text: str, *, source: str = "<string>") -> CFQMScheme:
 
     All parsed schemes are validated: the graded coefficients must satisfy
     the time-antisymmetry x[m+1-i, j] = (-1)^(j+1) x[i, j] (per family for
-    split schemes, whose sigma rows close with a zero row), and the node
-    coefficients of a non-split scheme must equal y @ Q.
+    split schemes, whose sigma rows close with a zero row).  The node
+    coefficients of a non-split scheme are derived as z = y @ Q.
     """
     header = None
     rows: dict[str, list[list[float]]] = {"y": [], "rho": [], "sigma": []}
@@ -317,8 +295,6 @@ def _validate_scheme(scheme: CFQMScheme, source: str) -> None:
         _check_antisymmetry(scheme.y_sigma[:-1] @ tm.T, "sigma", source)
     else:
         _check_antisymmetry(scheme.y @ tm.T, "y", source)
-        if not np.allclose(scheme.z, scheme.y @ tm.Q, atol=1e-12):
-            raise DataIntegrityError(f"{source}: node coefficients disagree with y @ Q")
 
 
 @lru_cache(maxsize=None)

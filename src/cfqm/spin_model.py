@@ -22,23 +22,20 @@ Two decompositions of H(t) are provided:
   part and the diagonal of the field part, each self-commuting across
   times, as required by the split schemes.
 
-Every generator the propagators exponentiate has the form
-``a * C + diag(f . sigma^z)``: H(t) itself (a = 1, f the field amplitudes
-at t) and each CFQM exponent sum_k z_ik H(t_k) (a = sum_k z_ik, f the
-same weighted sum of amplitudes).  ``dense_generators`` builds any batch
-of them from those weights, and ``hamiltonian_at`` is its unit-exchange
-case.
-
-C and the sigma^z fields conserve sum_i sigma_i^z, so every generator and
-every propagator built from them is block-diagonal over the n + 1 sectors
-of k spins down (k set bits of the index), of sizes binomial(n, k).
-``sector_groups`` pairs sector k with the equally large sector n - k.
-``sector_generators`` builds the generators per group from cached blocks
-of C, built from the sector states, and the field diagonal, never the
-dense matrix, bit for bit equal to the gathered ``dense_generators``;
-``hamiltonians_at`` is its unit-exchange case over many times, and
-``sector_coupling_eigh`` gives the exchange eigenbasis per group.  ``hamiltonian_at`` and the other public
-single matrices stay dense 2^n x 2^n.
+Every operator the propagators use is ``a * C + diag(f . sigma^z)`` with C
+the exchange part: H(t) (a = 1, f the field amplitudes at t) or a CFQM
+exponent sum_k z_ik H(t_k) (a = sum_k z_ik, f the same weighted sum of
+amplitudes).  Both parts conserve sum_i sigma_i^z, so these operators and
+their propagators are block-diagonal over the n + 1 sectors of k spins
+down (k set bits of the index), of sizes binomial(n, k); ``sector_groups``
+pairs sector k with the equally large sector n - k.  The sector blocks
+are the one construction of the operators: ``sector_generators`` builds
+any batch of them from the cached blocks of C, built from the sector
+states, and the field diagonal; ``hamiltonians_at`` is its unit-exchange
+case over many times and ``sector_coupling_eigh`` the exchange eigenbasis
+per group.  ``dense`` scatters blocks into the 2^n x 2^n matrix; the
+public ``hamiltonian_at`` and ``coupling_matrix`` are that scatter, and no
+dense C is kept.
 
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
 matrices and has no such limit.
@@ -137,32 +134,20 @@ def _embed(n: int, site: int, block: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _coupling_matrix(n: int) -> np.ndarray:
-    require_dense(n)
-    out = np.zeros((2 ** n, 2 ** n))
-    for site in range(1, n):
-        out += _embed(n, site, _EXCHANGE_BLOCK)
-    out /= 4.0 * n
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=8)
 def _site_z_diagonals(n: int) -> np.ndarray:
     """Diagonals of sigma_i^z, shape (n, 2^n), entries +-1."""
     require_dense(n)
-    out = np.empty((n, 2 ** n))
-    base = np.array([1.0, -1.0])
-    for site in range(1, n + 1):
-        pattern = np.repeat(base, 2 ** (n - site))
-        out[site - 1] = np.tile(pattern, 2 ** (site - 1))
+    out = 1.0 - 2.0 * (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None] & 1)
     out.setflags(write=False)
     return out
 
 
 def coupling_matrix(model: HeisenbergModel) -> np.ndarray:
-    """The time-independent exchange part (1/4n) sum sigma_i.sigma_{i+1}."""
-    return _coupling_matrix(model.n)
+    """The time-independent exchange part (1/4n) sum sigma_i.sigma_{i+1},
+    dense and read-only."""
+    out = dense(model.n, _sector_coupling(model.n))
+    out.setflags(write=False)
+    return out
 
 
 def field_amplitudes(model: HeisenbergModel, times) -> np.ndarray:
@@ -175,17 +160,6 @@ def field_amplitudes(model: HeisenbergModel, times) -> np.ndarray:
 def field_diagonal(model: HeisenbergModel, t: float) -> np.ndarray:
     """Diagonal of the field part (1/4n) sum cos(phi_i + omega_i t) sigma_i^z."""
     return field_amplitudes(model, t) @ _site_z_diagonals(model.n)
-
-
-def dense_generators(model: HeisenbergModel, exchange, fields) -> np.ndarray:
-    """Dense ``exchange * C + diag(fields . sigma^z)`` with C the exchange
-    part :func:`coupling_matrix`, for ``exchange`` of shape ``batch`` and
-    per-site ``fields`` (as :func:`field_amplitudes` returns them) of shape
-    ``batch + (n,)``; the result has shape ``batch + (2^n, 2^n)``."""
-    out = np.asarray(exchange, dtype=float)[..., None, None] * _coupling_matrix(model.n)
-    idx = np.arange(model.dim)
-    out[..., idx, idx] += fields @ _site_z_diagonals(model.n)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -201,6 +175,15 @@ def sector_groups(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         idx = np.stack([np.flatnonzero(down == j) for j in sorted({k, n - k})])
         groups.append((idx[:, :, None], idx[:, None, :]))
     return tuple(groups)
+
+
+def dense(n: int, blocks: list[np.ndarray]) -> np.ndarray:
+    """The 2^n x 2^n matrix with the given per-group blocks of
+    :func:`sector_groups` and zeros elsewhere, of the blocks' dtype."""
+    out = np.zeros((2 ** n, 2 ** n), dtype=np.result_type(*blocks))
+    for (rows, cols), block in zip(sector_groups(n), blocks):
+        out[rows, cols] = block
+    return out
 
 
 def _sector_exchange(n: int, states: np.ndarray) -> np.ndarray:
@@ -244,10 +227,10 @@ def sector_coupling_eigh(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def sector_generators(model: HeisenbergModel, exchange, fields) -> list[np.ndarray]:
-    """:func:`dense_generators` per group of :func:`sector_groups`, built
-    from the cached blocks of C and one diagonal product, without the
-    dense matrix: one ``batch + (g, d_k, d_k)`` stack per group, equal bit
-    for bit to the gathered dense generators."""
+    """``exchange * C + diag(fields . sigma^z)`` for ``exchange`` of shape
+    ``batch`` and ``fields`` (per-site amplitudes) of shape ``batch + (n,)``,
+    as one ``batch + (g, d_k, d_k)`` stack per group of :func:`sector_groups`,
+    from the cached blocks of C and one diagonal product."""
     exchange = np.asarray(exchange, dtype=float)[..., None, None, None]
     diagonal = fields @ _site_z_diagonals(model.n)
     out = []
@@ -261,7 +244,7 @@ def sector_generators(model: HeisenbergModel, exchange, fields) -> list[np.ndarr
 
 def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:
     """Dense H(t), a real symmetric matrix of dimension 2^n."""
-    return dense_generators(model, 1.0, field_amplitudes(model, t))
+    return dense(model.n, sector_generators(model, 1.0, field_amplitudes(model, t)))
 
 
 def hamiltonians_at(model: HeisenbergModel, times) -> list[np.ndarray]:
@@ -276,8 +259,9 @@ def local_terms(n: int, parity: int, exchange, fields):
     """Local Hermitian terms of one part of the odd/even split.
 
     ``parity`` 1 selects the bonds (2k-1, 2k) and the odd sites, 0 the bonds
-    (2k, 2k+1) and the even sites.  Each bond (a, a+1) carries the block
-    ``exchange * sigma.sigma + fields[a-1] * (sigma^z (x) I)``; the last
+    (2k, 2k+1) and the even sites.  ``exchange`` weighs C as in
+    :func:`sector_generators`: each bond (a, a+1) carries the block
+    ``exchange/4n * sigma.sigma + fields[a-1] * (sigma^z (x) I)``; the last
     site n, which has no bond of its own, is in the part of its parity as
     the diagonal ``fields[n-1] * (1, -1)``.  ``exchange`` may have shape
     ``batch`` and ``fields`` shape ``batch + (n,)`` to build many
@@ -288,7 +272,7 @@ def local_terms(n: int, parity: int, exchange, fields):
     diagonal of shape ``batch + (2,)`` or None.  The blocks act on disjoint
     site pairs, so they commute with each other and with the end term.
     """
-    exchange = np.asarray(exchange, dtype=float)
+    exchange = np.asarray(exchange, dtype=float) / (4.0 * n)
     fields = np.asarray(fields, dtype=float)
     sites = tuple(range(2 - parity, n, 2))
     left = fields[..., [site - 1 for site in sites]]
@@ -309,7 +293,7 @@ def split_at(model: HeisenbergModel, t: float) -> tuple[np.ndarray, np.ndarray]:
     fields = field_amplitudes(model, t)
     parts = []
     for parity in (1, 0):  # odd sites first
-        sites, blocks, end = local_terms(n, parity, 1.0 / (4.0 * n), fields)
+        sites, blocks, end = local_terms(n, parity, 1.0, fields)
         part = np.zeros((model.dim, model.dim))
         for site, block in zip(sites, blocks):
             part += _embed(n, site, block)

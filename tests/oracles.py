@@ -6,7 +6,11 @@ here rebuild the same quantities by other means (enumeration, exact
 ``Fraction`` series, a composition dynamic program) so the tests can pin
 the closed forms against them; :func:`uncached_product_term` rebuilds
 the product remainder's h-independent inner sum on every call, which
-``bounds`` caches.  Likewise :func:`dense_cfqm_step` sums dense node
+``bounds`` caches.  :func:`kron_coupling` and :func:`kron_generators`
+build the exchange part and the generators a * C + diag(f . sigma^z) as
+sums of Kronecker products of Pauli matrices, the route the runtime's
+sector-state blocks replace; the dense oracle steps below start from
+them.  Likewise :func:`dense_cfqm_step` sums dense node
 Hamiltonians into each exponent, :func:`dense_trotterized_step`
 runs the product formula with dense d x d exponentials of the split
 parts, :func:`dense_reference_propagator` composes and extrapolates dense
@@ -224,6 +228,44 @@ def scalar_compute_cbar(scheme, c: float) -> float:
     return c * best
 
 
+_PAULI = (np.array([[0.0, 1.0], [1.0, 0.0]]),
+          np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+          np.array([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def _kron_chain(*factors: np.ndarray) -> np.ndarray:
+    out = np.ones((1,) * factors[0].ndim)
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+def kron_coupling(n: int) -> np.ndarray:
+    """The exchange part (1/4n) sum_i sigma_i . sigma_{i+1} of the chain,
+    summed from Kronecker products of the Pauli matrices."""
+    bond = sum(np.kron(p, p) for p in _PAULI).real
+    out = np.zeros((2 ** n, 2 ** n))
+    for site in range(1, n):
+        out += _kron_chain(np.eye(2 ** (site - 1)), bond, np.eye(2 ** (n - site - 1)))
+    return out / (4.0 * n)
+
+
+def kron_site_z(n: int) -> np.ndarray:
+    """Diagonals of sigma_1^z, ..., sigma_n^z as Kronecker products, (n, 2^n)."""
+    return np.array([_kron_chain(np.ones(2 ** (site - 1)), np.diag(_PAULI[2]),
+                                 np.ones(2 ** (n - site))) for site in range(1, n + 1)])
+
+
+def kron_generators(model, exchange, fields) -> np.ndarray:
+    """Dense ``exchange * C + diag(fields . sigma^z)`` from :func:`kron_coupling`
+    and :func:`kron_site_z`, for ``exchange`` of shape ``batch`` and per-site
+    ``fields`` of shape ``batch + (n,)``; shape ``batch + (2^n, 2^n)``."""
+    out = np.asarray(exchange, dtype=float)[..., None, None] * kron_coupling(model.n)
+    idx = np.arange(model.dim)
+    out[..., idx, idx] += np.asarray(fields, dtype=float) @ kron_site_z(model.n)
+    return out
+
+
 def expm_antihermitian(h_mat: np.ndarray, tau: float) -> np.ndarray:
     """exp(-i tau H) for a Hermitian H or a stack of them, via
     eigendecomposition."""
@@ -237,7 +279,9 @@ def dense_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     summed from the dense node Hamiltonians."""
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; use split_step")
-    h_nodes = [spin_model.hamiltonian_at(model, t) for t in node_times(scheme, t0, h)]
+    times = node_times(scheme, t0, h)
+    h_nodes = kron_generators(model, np.ones(times.size),
+                              spin_model.field_amplitudes(model, times))
     u = np.eye(model.dim, dtype=complex)
     for i in range(scheme.m):
         exponent = sum(scheme.z[i, k] * h_nodes[k] for k in range(scheme.s))
@@ -291,8 +335,8 @@ def per_factor_split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a split scheme with a dense exponential of every
     exchange exponent sum_k rho_ik C, each eigendecomposed anew, and the
     factors accumulated on the right."""
-    coupling = spin_model.coupling_matrix(model)
-    fields = [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)]
+    coupling = kron_coupling(model.n)
+    fields = spin_model.field_amplitudes(model, node_times(scheme, t0, h)) @ kron_site_z(model.n)
     u = np.eye(model.dim, dtype=complex)
     for i in range(scheme.m):
         if np.abs(scheme.rho[i]).max() > 0.0:
@@ -312,8 +356,8 @@ def dense_midpoint_product(model, t0: float, t1: float, num_steps: int) -> np.nd
     u = np.eye(model.dim, dtype=complex)
     for start in range(0, num_steps, chunk_size):
         chunk = mids[start:start + chunk_size]
-        hams = spin_model.dense_generators(
-            model, np.ones(chunk.size), spin_model.field_amplitudes(model, chunk))
+        hams = kron_generators(model, np.ones(chunk.size),
+                               spin_model.field_amplitudes(model, chunk))
         steps = expm_antihermitian(hams, h_micro)
         u = _reunitarize(_tree_product(steps) @ u)
     return u

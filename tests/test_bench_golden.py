@@ -3,8 +3,10 @@
 ``bench/golden.json`` records the outputs of the pinned seed's rounds; the
 benchmark checks them on every run, but a kernel that drifts beyond the
 golden tolerances would otherwise only show there.  This replays round 0
-of ``propagate-large`` (every dense step kind at n = 7-8, no reference)
-and every ``plan-grid`` golden point (196 plans' step and exponential
+of ``propagate-large`` (every dense step kind at n = 7-8, no reference),
+round 0 of ``validate-suite`` (the reference, every step kind and
+``spectral_distance`` at n = 2-8, with each bound) and every
+``plan-grid`` golden point (196 plans' step and exponential
 counts, exact, and the sha256 of one ``cfqm sweep`` CSV, whose %.17g
 bound columns pin the bounds bit for bit) exactly as ``bench/worker.py``
 checks them, reading ``bench/`` only.
@@ -34,6 +36,18 @@ def test_propagate_large_pinned_round_matches_golden(monkeypatch, tmp_path):
     assert golden["seed"] == workloads.PINNED_SEED
     ops = workloads.propagate_large_round(workloads.PINNED_SEED, 0, str(tmp_path))
     assert len(ops) == len(golden["rounds"][0]) == 14
+    for op, want in zip(ops, golden["rounds"][0]):
+        result = op.run()
+        assert op.invariant(result) is None, op.key
+        assert workloads.compare(op.summary(result), want, op.tolerances) is None, op.key
+
+
+def test_validate_suite_pinned_round_matches_golden(monkeypatch, tmp_path):
+    workloads = _load_workloads(monkeypatch)
+    golden = json.loads((BENCH / "golden.json").read_text())["validate-suite"]
+    assert golden["seed"] == workloads.PINNED_SEED
+    ops = workloads.validate_suite_round(workloads.PINNED_SEED, 0, str(tmp_path))
+    assert len(ops) == len(golden["rounds"][0]) == 119
     for op, want in zip(ops, golden["rounds"][0]):
         result = op.run()
         assert op.invariant(result) is None, op.key

@@ -196,6 +196,15 @@ def test_suzuki_step_cost_validity_limit():
         suzuki_step_cost(2, 1.0, 1.0, 1, limit * 1.001)
 
 
+def test_suzuki_step_cost_rejects_an_overflowing_count():
+    # a ValueError, not EpsilonTooLargeError, which the planner reads as
+    # "the cost model is vacuous"
+    with pytest.raises(ValueError, match=r"^Suzuki step count overflows at "
+                                         r"h=1e\+300, eps_step=0.001$") as err:
+        suzuki_step_cost(2, 1.0, 1e300, 2, 1e-3)
+    assert not isinstance(err.value, EpsilonTooLargeError)
+
+
 def test_step_error_assembly_non_split():
     scheme = load_scheme("CF4-2")
     c, h, n = 1.0, 0.25, 4

@@ -212,3 +212,24 @@ def test_negative_spins_reports_error_line(tmp_path, capsys, command):
     assert captured.out == ""
     assert captured.err == "error: ValueError: n must be an integer >= 2, got -3\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--axis", "time", "--grid", "1e300", "--spins", "4"],
+    ["sweep", "--axis", "spins", "--grid", "1e300"],
+    ["plan", "--time", "8", "--spins", str(10 ** 300)],
+    ["plan", "--time", "8", "--spins", str(10 ** 400)],
+    ["plan", "--time", "8", "--spins", str(2 ** 53 + 1)],
+])
+def test_overflowing_inputs_report_one_error_line(tmp_path, capsys, command):
+    # a non-finite Suzuki count or a chain too long for a float used to
+    # end in an OverflowError traceback
+    out = tmp_path / "x.csv"
+    extra = ["--out", str(out)] if command[0] == "sweep" else []
+    rc = cli.main(command + extra + ["--eps", "1e-3", "--scheme", "CF4-2"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
+    assert not out.exists()

@@ -2,6 +2,7 @@
 validation and the empirical order)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,14 @@ def test_model_bounds_validation():
     # integral floats (the CLI grid parses floats) pass as ints
     assert ModelBounds(c=1.0, n=16.0).n == 16
     assert type(ModelBounds(c=1.0, n=16.0).n) is int
+
+
+@pytest.mark.parametrize("n", [2 ** 53 + 1, 10 ** 400, 1e300])
+def test_model_bounds_rejects_chains_beyond_float_precision(n):
+    # float(n) would overflow or round; the bounds convert n * K(s) to float
+    with pytest.raises(ValueError, match=rf"^n must be at most 2\*\*53, got {re.escape(str(n))}$"):
+        ModelBounds(c=1.0, n=n)
+    assert ModelBounds(c=1.0, n=2 ** 53).n == 2 ** 53
 
 
 def test_step_exponentials_accounting():

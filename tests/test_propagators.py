@@ -31,7 +31,7 @@ from oracles import (
 
 def midpoint_dense(model, t0, t1, num_steps):
     """The blockwise midpoint product as a dense matrix."""
-    return propagators._scatter(model.n, _midpoint_product(model, t0, t1, num_steps))
+    return spin_model.dense(model.n, _midpoint_product(model, t0, t1, num_steps))
 
 
 def test_expm_antihermitian_pauli_x_closed_form():
@@ -308,9 +308,9 @@ def test_split_eigenbases_keep_sectors_when_local_spectra_are_degenerate():
                 assert dist <= 1e-12, (n, scheme_id, dist)
             t = 0.9
             groups = propagators._split_eigenbases(
-                n, np.array([1.0 / (4.0 * n)]), spin_model.field_amplitudes(model, t)[None])
+                n, np.array([1.0]), spin_model.field_amplitudes(model, t)[None])
             for p, dense in enumerate(spin_model.split_at(model, t)):
-                rebuilt = propagators._scatter(n, [
+                rebuilt = spin_model.dense(n, [
                     (w[0, p] * lam[0, p, ..., None, :]) @ np.swapaxes(w[0, p], -1, -2)
                     for w, lam in groups])
                 assert np.linalg.norm(rebuilt - dense, 2) <= 1e-14, (n, p)

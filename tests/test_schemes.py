@@ -15,11 +15,9 @@ from cfqm.schemes import (
     gauss_legendre,
     load_scheme,
     parse_scheme_text,
-    split_maps,
     t_matrix,
     transform_matrices,
     xbar,
-    z_from_y,
 )
 from oracles import scalar_compute_cbar
 
@@ -81,23 +79,14 @@ def test_quadrature_matrix_entries():
 
 
 def test_z_from_y_matches_literature_fourth_order():
-    # the classic two-exponential fourth-order scheme in node coordinates
-    z = z_from_y(np.array([[0.5, 2.0], [0.5, -2.0]]))
+    # the classic two-exponential fourth-order scheme in node coordinates,
+    # as the loader derives them from the stored y rows
+    z = load_scheme("CF4-2").z
     want = np.array([
         [0.25 - SQ3 / 6.0, 0.25 + SQ3 / 6.0],
         [0.25 + SQ3 / 6.0, 0.25 - SQ3 / 6.0],
     ])
     assert z == pytest.approx(want, rel=1e-12)
-
-
-def test_split_maps_constant_moment():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 3))
-    b = rng.normal(size=(4, 3))
-    rho, sigma = split_maps(a, b, 3)
-    # R Q 1 = e_1, so row sums recover the first graded column
-    assert rho @ np.ones(3) == pytest.approx(a[:, 0], abs=1e-9)
-    assert sigma @ np.ones(3) == pytest.approx(b[:, 0], abs=1e-9)
 
 
 def test_xbar_known_values():

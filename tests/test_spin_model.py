@@ -1,6 +1,8 @@
 """Dense Heisenberg chain with cosine drives: norms, splits, sectors."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from cfqm.spin_model import (
     split_at,
     taylor_bound_c,
 )
+from oracles import kron_coupling, kron_generators
 
 
 def test_dimensions_and_hermiticity():
@@ -144,7 +147,7 @@ def test_split_is_the_dense_embedding_of_local_terms():
         fields = spin_model.field_amplitudes(model, t)
         parts = []
         for parity in (1, 0):
-            sites, blocks, end = spin_model.local_terms(n, parity, 1.0 / (4 * n), fields)
+            sites, blocks, end = spin_model.local_terms(n, parity, 1.0, fields)
             assert sites == tuple(range(2 - parity, n, 2))
             assert (end is not None) == (n % 2 == parity)
             part = np.zeros((2 ** n, 2 ** n))
@@ -194,17 +197,44 @@ def test_sector_groups_partition_the_basis():
 
 
 def test_sector_coupling_equals_the_gathered_dense_exchange():
-    # built from the sector states, every block is exactly the dense C's
+    # built from the sector states, every block, the dense exchange part and
+    # H(t) are exactly the Kronecker-product build's
     for n in range(2, 11):
-        spin_model._coupling_matrix.cache_clear()
         spin_model._sector_coupling.cache_clear()
-        blocks = spin_model._sector_coupling(n)
-        assert spin_model._coupling_matrix.cache_info().currsize == 0
-        dense = spin_model._coupling_matrix(n)
-        for (rows, cols), block in zip(spin_model.sector_groups(n), blocks):
-            assert np.array_equal(block, dense[rows, cols])
+        want = kron_coupling(n)
+        model = random_model(n, seed=90 + n)
+        coupling = spin_model.coupling_matrix(model)
+        assert coupling.dtype == np.float64 and not coupling.flags.writeable
+        assert np.array_equal(coupling, want)
+        for (rows, cols), block in zip(spin_model.sector_groups(n),
+                                       spin_model._sector_coupling(n)):
+            assert np.array_equal(block, want[rows, cols])
             assert not block.flags.writeable
-    spin_model._coupling_matrix.cache_clear()
+        for t in (0.0, 2.7):
+            h = hamiltonian_at(model, t)
+            assert h.dtype == np.float64
+            assert np.array_equal(h, kron_generators(
+                model, 1.0, spin_model.field_amplitudes(model, t)))
+
+
+def test_dense_matrices_leave_no_dense_cache():
+    # hamiltonian_at and coupling_matrix scatter the cached sector blocks
+    # (1.5 MB at n = 10); a cached dense C would hold another 8 MB.  Every
+    # cache of the module starts empty, so what the calls keep is traced
+    for cached in vars(spin_model).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    model = random_model(10, seed=3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        spin_model.hamiltonian_at(model, 0.4)
+        spin_model.coupling_matrix(model)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 4 * 2 ** 20, retained
 
 
 def test_hamiltonian_is_block_diagonal_over_sectors():
