@@ -1,18 +1,23 @@
-"""Golden outputs: pinned sweeps and the README's ``plan`` example.
+"""Golden outputs: pinned sweeps and the README's command examples.
 
 The sweep CSVs under ``tests/data/`` pin every plan the bounds produce on
 a fixed grid, byte for byte, so a refactor of the bound evaluation cannot
 move a single float.  The README test runs the documented ``cfqm plan``
 command and compares its output with the README's code block, so the
 published numbers cannot go stale, and runs every other command of the
-README's command-line block, so the examples stay runnable.
+README's command-line block, so the examples stay runnable.  The README's
+``validate`` CSV and ``verify-order`` line are pinned too: the bounds,
+sample points and verdicts exactly, the measured errors to the benchmark
+goldens' 1e-12.
 
 After a deliberate change to the plans, regenerate the CSVs with
 ``python tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
+import csv
 import io
+import math
 import re
 import shlex
 import sys
@@ -25,6 +30,8 @@ from cfqm.schemes import SCHEME_IDS
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
+VALIDATE_GOLDEN = DATA / "validate_readme.csv"
+VERIFY_ORDER_GOLDEN = "scheme=CF6-5 slope=7.0285 window=[6.85, 7.30] ok=True\n"
 
 #: axis -> (grid, keyword arguments of planner.sweep)
 PINNED_SWEEPS = {
@@ -80,6 +87,39 @@ def _readme_commands() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines if line.startswith("cfqm ")]
 
 
+def _readme_command(name: str) -> list[str]:
+    return next(argv for argv in _readme_commands() if argv[0] == name)
+
+
+def _run_readme_validate(out: Path) -> None:
+    argv = _readme_command("validate")
+    argv[argv.index("--out") + 1] = str(out)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+
+
+def test_readme_validate_csv_matches_golden(tmp_path):
+    out = tmp_path / "report.csv"
+    _run_readme_validate(out)
+    with open(out, newline="") as fh:
+        got = list(csv.DictReader(fh))
+    with open(VALIDATE_GOLDEN, newline="") as fh:
+        want = list(csv.DictReader(fh))
+    assert len(got) == len(want) == 50
+    for row, ref in zip(got, want):
+        for col in ("scheme_id", "t0", "h", "bound_total", "status"):
+            assert row[col] == ref[col], (col, row, ref)
+        assert math.isclose(float(row["measured_error"]),
+                            float(ref["measured_error"]), rel_tol=0, abs_tol=1e-12)
+        assert math.isclose(float(row["ratio"]), float(ref["ratio"]),
+                            rel_tol=1e-12, abs_tol=0)
+
+
+def test_readme_verify_order_line_matches_golden(capsys):
+    assert cli.main(_readme_command("verify-order")) == 0
+    assert capsys.readouterr().out == VERIFY_ORDER_GOLDEN
+
+
 def test_readme_commands_run(tmp_path):
     commands = _readme_commands()
     assert sorted(argv[0] for argv in commands) == sorted(cli._COMMANDS)
@@ -103,3 +143,5 @@ if __name__ == "__main__":
     for axis in PINNED_SWEEPS:
         _run_sweep(axis, _golden_path(axis))
         print(f"wrote {_golden_path(axis)}", file=sys.stderr)
+    _run_readme_validate(VALIDATE_GOLDEN)
+    print(f"wrote {VALIDATE_GOLDEN}", file=sys.stderr)
