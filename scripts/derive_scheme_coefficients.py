@@ -586,7 +586,7 @@ def quick_slope(text: str) -> float:
     scheme = schemes.parse_scheme_text(text, source="<candidate>")
     model = spin_model.random_model(3, seed=5)
     grid = np.geomspace(0.4, 0.8, 4)
-    return planner.verify_order(scheme, model, grid, t0=0.1, reference_tol=1e-12)
+    return planner.verify_order(scheme, model, grid, t0=0.1)
 
 
 def main(argv=None) -> int:

@@ -350,6 +350,10 @@ def step_error(scheme, params: BoundParams, rel_tol: float = 1e-6) -> ErrorBreak
     return ErrorBreakdown(magnus, cfqm, quad, trotter)
 
 
+class _SuzukiCountOverflow(ValueError):
+    """A Suzuki count beyond float range; the planner records no count."""
+
+
 def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> int:
     """Exponential count for one Suzuki step of order 2s on a q-local
     Hamiltonian with interaction strength lam, meeting per-step error
@@ -375,5 +379,6 @@ def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> i
     count = (3.0 * q * lam * h * s * (25.0 / 3.0) ** s
              * (lam * h / eps_step) ** (1.0 / (2 * s)))
     if not math.isfinite(count):
-        raise ValueError(f"Suzuki step count overflows at h={h}, eps_step={eps_step}")
+        raise _SuzukiCountOverflow(
+            f"Suzuki step count overflows at h={h}, eps_step={eps_step}")
     return math.ceil(count)

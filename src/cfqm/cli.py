@@ -42,9 +42,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--eps", type=float, help="target error budget")
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-    if "rel-tol" in names:
-        p.add_argument("--rel-tol", type=float, default=1e-6,
-                       help="relative tolerance for the bound tail sums")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,24 +52,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("plan", help="steps/exponentials meeting an error budget")
-    _add_common(p, "scheme", "time", "spins", "eps", "rel-tol")
+    _add_common(p, "scheme", "time", "spins", "eps")
 
     p = sub.add_parser("sweep", help="cost sweep over time, error or spins")
     p.add_argument("--axis", required=True, choices=planner.SWEEP_AXES)
     p.add_argument("--grid", required=True, type=_grid,
                    help="comma-separated values, or lo:hi:count (geometric)")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p, "scheme", "time", "spins", "eps", "rel-tol")
+    _add_common(p, "scheme", "time", "spins", "eps")
 
     p = sub.add_parser("validate", help="measured one-step error vs the bound")
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--out", required=True,
                    help="output CSV path (one row per scheme and sample)")
-    _add_common(p, "scheme", "spins", "seed", "rel-tol")
+    _add_common(p, "scheme", "spins", "seed")
 
     p = sub.add_parser("verify-order", help="empirical convergence slope")
-    p.add_argument("--grid", type=_grid, default=None,
-                   help="step sizes to fit over (default 0.3:0.7:5)")
+    p.add_argument("--grid", type=_grid, default="0.3:0.7:5",
+                   help="step sizes to fit over (default %(default)s)")
     p.add_argument("--time", type=float, default=0.0, help="window start t0")
     _add_common(p, "scheme", "spins", "seed")
 
@@ -88,10 +85,10 @@ def _require(args, *names: str) -> None:
 
 def _cmd_plan(args) -> int:
     _require(args, "time", "spins", "eps")
-    mb = planner.ModelBounds(c=1.0, n=args.spins)
+    mb = planner.ModelBounds(c=spin_model.TAYLOR_BOUND_C, n=args.spins)
     for scheme_id in args.schemes:
         scheme = schemes.load_scheme(scheme_id)
-        p = planner.plan(scheme, mb, args.time, args.eps, args.rel_tol)
+        p = planner.plan(scheme, mb, args.time, args.eps)
         b = p.breakdown
         print(f"scheme={p.scheme_id} T={p.total_time:g} n={p.n} "
               f"eps={p.epsilon:g} r={p.r} h={p.h:.9g} "
@@ -105,8 +102,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_sweep(args) -> int:
     planner.sweep(args.axis, args.grid, args.schemes, args.out,
-                  total_time=args.time, epsilon=args.eps, n=args.spins,
-                  rel_tol=args.rel_tol)
+                  total_time=args.time, epsilon=args.eps, n=args.spins)
     print(f"wrote {args.out}")
     return 0
 
@@ -114,7 +110,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     _require(args, "spins")
     reports = planner.validate(args.schemes, args.seed, args.spins,
-                               args.samples, args.out, rel_tol=args.rel_tol)
+                               args.samples, args.out)
     for report in reports:
         flagged = sum(1 for row in report.rows
                       if row.status not in ("ok", "violated"))
@@ -130,12 +126,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_verify_order(args) -> int:
     _require(args, "spins")
-    grid = args.grid if args.grid is not None else list(np.geomspace(0.3, 0.7, 5))
     model = spin_model.random_model(args.spins, seed=args.seed)
     failed = False
     for scheme_id in args.schemes:
         scheme = schemes.load_scheme(scheme_id)
-        slope = planner.verify_order(scheme, model, grid, t0=args.time)
+        slope = planner.verify_order(scheme, model, args.grid, t0=args.time)
         lo, hi = planner.slope_window(scheme.s)
         ok = lo <= slope <= hi
         print(f"scheme={scheme_id} slope={slope:.4f} "

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds, propagators, schemes, spin_model
-from .bounds import BoundParams, ErrorBreakdown
+from .bounds import BoundParams, ErrorBreakdown, _SuzukiCountOverflow
 from .errors import (
     AsymptoticRegimeError,
     DivergentRegimeError,
@@ -50,6 +50,9 @@ MAX_STEPS = 2 ** 32
 # h < 2*(1 - e^(-1/(2c))) convergence guard for c = 1 (~0.787).
 _VALIDATE_H_RANGE = (0.05, 0.6)
 _VALIDATE_T0_RANGE = (0.0, 2.0 * math.pi)
+# What the reference propagator certifies for the two dense checks.
+_VALIDATE_REFERENCE_TOL = 1e-11
+_VERIFY_ORDER_REFERENCE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ class ModelBounds:
     """What the bounds need to know about the model class.
 
     c is the componentwise Taylor-coefficient bound of the interaction
-    picture generator (1.0 for the bundled Heisenberg family with
-    frequencies capped at 1) and n the number of spins, which enters only
+    picture generator (:data:`cfqm.spin_model.TAYLOR_BOUND_C` for the
+    bundled Heisenberg family) and n the number of spins, which enters only
     the product-formula term of non-split schemes.
     """
 
@@ -106,16 +109,16 @@ def step_exponentials(scheme) -> int:
     return scheme.m * 2 * stages
 
 
-def _breakdown_at(scheme, model_bounds: ModelBounds, cbar: float, h: float,
-                  rel_tol: float) -> ErrorBreakdown:
+def _breakdown_at(scheme, model_bounds: ModelBounds, cbar: float,
+                  h: float) -> ErrorBreakdown:
     params = BoundParams(c=model_bounds.c, cbar=cbar, h=h,
                          s=scheme.s, m=scheme.m, n=model_bounds.n)
-    return bounds.step_error(scheme, params, rel_tol)
+    return bounds.step_error(scheme, params)
 
 
 def suzuki_exponentials(s: int, lam: float, total_time: float,
                         epsilon: float) -> int | None:
-    """Suzuki cost on the same budget, or None when the model is vacuous.
+    """Suzuki cost on the same budget, or None when vacuous or overflowing.
 
     The order-2s Suzuki count for r steps is r * N(h=T/r, eps=epsilon/r);
     both the validity condition and the pre-ceiling count are invariant
@@ -126,12 +129,12 @@ def suzuki_exponentials(s: int, lam: float, total_time: float,
     try:
         return bounds.suzuki_step_cost(q=2, lam=lam, h=total_time, s=s,
                                        eps_step=epsilon)
-    except EpsilonTooLargeError:
+    except (EpsilonTooLargeError, _SuzukiCountOverflow):
         return None
 
 
 def plan(scheme, model_bounds: ModelBounds, total_time: float,
-         epsilon: float, rel_tol: float = 1e-6) -> Plan:
+         epsilon: float) -> Plan:
     """Minimal-step plan meeting ``r * step_bound(T/r) <= epsilon``.
 
     The per-step bound decreases faster than 1/r as r grows (every term
@@ -152,7 +155,7 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
 
     def attempt(r: int) -> ErrorBreakdown | None:
         try:
-            return _breakdown_at(scheme, model_bounds, cbar, total_time / r, rel_tol)
+            return _breakdown_at(scheme, model_bounds, cbar, total_time / r)
         except DivergentRegimeError:
             return None
 
@@ -235,8 +238,7 @@ def _write_csv(out, columns, records) -> None:
 
 
 def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
-          epsilon: float | None = None, n: int | None = None, c: float = 1.0,
-          rel_tol: float = 1e-6) -> list[dict]:
+          epsilon: float | None = None, n: int | None = None) -> list[dict]:
     """Plan every (scheme, grid point) pair and write the rows as CSV.
 
     axis selects what the grid varies: total evolution time, the error
@@ -258,6 +260,7 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
     if axis == "error" and (n is None or total_time is None):
         raise ValueError("n and total_time are required for an error sweep")
 
+    c = spin_model.TAYLOR_BOUND_C
     rows = []
     for scheme_id in scheme_ids:
         scheme = schemes.load_scheme(scheme_id)
@@ -272,7 +275,7 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
                 eps = epsilon
             row = {"scheme_id": scheme_id, "axis_value": value}
             try:
-                p = plan(scheme, ModelBounds(c=c, n=nn), T, eps, rel_tol)
+                p = plan(scheme, ModelBounds(c=c, n=nn), T, eps)
             except InfeasiblePlanError:
                 row.update(h=None, r=None, exponentials=None,
                            magnus_taylor=None, cfqm_taylor=None,
@@ -356,9 +359,8 @@ class ValidationReport:
         return max(ratios) if ratios else math.nan
 
 
-def validate(scheme_ids, seed: int, n: int, samples: int, out,
-             reference_tol: float = 1e-11,
-             rel_tol: float = 1e-6) -> list[ValidationReport]:
+def validate(scheme_ids, seed: int, n: int, samples: int,
+             out) -> list[ValidationReport]:
     """Measured one-step error against the a-priori bound, as one CSV.
 
     Runs each scheme's implementable step (split product, or the
@@ -376,7 +378,7 @@ def validate(scheme_ids, seed: int, n: int, samples: int, out,
         raise ValueError(f"samples must be >= 1, got {samples}")
     loaded = [schemes.load_scheme(scheme_id) for scheme_id in scheme_ids]
     model = spin_model.random_model(n, seed=seed)
-    mb = ModelBounds(c=spin_model.taylor_bound_c(model), n=n)
+    mb = ModelBounds(c=spin_model.TAYLOR_BOUND_C, n=n)
     reports = []
     for scheme in loaded:
         cbar = schemes.compute_cbar(scheme, mb.c)
@@ -386,12 +388,13 @@ def validate(scheme_ids, seed: int, n: int, samples: int, out,
             t0 = rng.uniform(*_VALIDATE_T0_RANGE)
             h = rng.uniform(*_VALIDATE_H_RANGE)
             try:
-                bd = _breakdown_at(scheme, mb, cbar, h, rel_tol)
+                bd = _breakdown_at(scheme, mb, cbar, h)
             except DivergentRegimeError:
                 rows.append(ValidationRow(t0, h, None, None, "guard"))
                 continue
             try:
-                measured = measured_error(scheme, model, t0, h, reference_tol)
+                measured = measured_error(scheme, model, t0, h,
+                                          _VALIDATE_REFERENCE_TOL)
             except ReferenceConvergenceError:
                 rows.append(ValidationRow(t0, h, None, bd.total, "no-reference"))
                 continue
@@ -412,8 +415,7 @@ def slope_window(s: int) -> tuple[float, float]:
     return 2 * s + 1 - 0.15, 2 * s + 1 + 0.3
 
 
-def verify_order(scheme, model, h_grid, t0: float = 0.0,
-                 reference_tol: float = 1e-12) -> float:
+def verify_order(scheme, model, h_grid, t0: float = 0.0) -> float:
     """Measured convergence slope of single-step errors over ``h_grid``.
 
     For each h the scheme's one-step propagator (with exact exponentials)
@@ -432,8 +434,9 @@ def verify_order(scheme, model, h_grid, t0: float = 0.0,
         raise ValueError("need at least two grid points")
     if hs[0] <= 0:
         raise ValueError("step sizes must be positive")
-    errs = np.array([measured_error(scheme, model, t0, h, reference_tol,
-                                    exact=True) for h in hs])
+    errs = np.array([measured_error(scheme, model, t0, h,
+                                    _VERIFY_ORDER_REFERENCE_TOL, exact=True)
+                     for h in hs])
     if errs.min() < 1e-13:
         raise GridTooFineError(
             f"smallest step error {errs.min():.3e} is at roundoff level; "

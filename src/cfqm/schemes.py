@@ -47,7 +47,6 @@ from .errors import DataIntegrityError, SchemeLookupError
 SCHEME_IDS = ("CF2-1", "CF4-2", "CF4-3", "CF6-5", "CF6-6", "GS6-4", "GS10-6")
 
 _ANTISYMMETRY_ATOL = 1e-10
-_QUADRATURE_ATOL = 1e-13
 
 
 def t_matrix(s: int, jmax: int | None = None) -> np.ndarray:
@@ -71,20 +70,13 @@ def _t_entry(g: int, j: int) -> float:
 def gauss_legendre(s: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the s-point Gauss-Legendre rule on [-1, 1].
 
-    The rule is validated on load: it must integrate monomials up to degree
-    2s - 1 exactly (to 1e-13), which is the property every downstream
-    identity relies on.
+    The rule integrates monomials up to degree 2s - 1 exactly, the property
+    every downstream identity relies on; the tests pin it to 1e-13 for
+    s = 1..6.
     """
     if not 1 <= s <= 6:
         raise ValueError(f"s must be in 1..6, got {s}")
-    nodes, weights = np.polynomial.legendre.leggauss(s)
-    for g in range(2 * s):
-        exact = 2.0 / (g + 1) if g % 2 == 0 else 0.0
-        got = float(np.dot(weights, nodes ** g))
-        if abs(got - exact) > _QUADRATURE_ATOL:
-            raise AssertionError(
-                f"Gauss-Legendre rule s={s} fails moment {g}: {got} vs {exact}")
-    return nodes, weights
+    return np.polynomial.legendre.leggauss(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +102,6 @@ def transform_matrices(s: int) -> TransformMatrices:
     nodes, weights = gauss_legendre(s)
     q = np.array([[weights[k] * nodes[k] ** g / 2 ** (g + 1)
                    for k in range(s)] for g in range(s)])
-    # the rule integrates constants exactly: Q @ 1 = T[:, 0], so R Q 1 = e_1
-    if not np.allclose(q @ np.ones(s), t[:, 0], atol=_QUADRATURE_ATOL):
-        raise AssertionError(f"quadrature map fails the constant moment at s={s}")
-    if not np.allclose(r @ t, np.eye(s), atol=1e-12):
-        raise AssertionError(f"T inversion failed at s={s}")
     return TransformMatrices(s=s, T=t, R=r, Q=q, nodes=nodes, weights=weights)
 
 

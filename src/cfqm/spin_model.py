@@ -7,7 +7,8 @@ The model is an open chain of n spins with oscillating on-site fields,
 
 normalized so that ||H(t)|| <= 1.  With |omega_i| <= 1 every midpoint Taylor
 coefficient of the generator is bounded by c = 1 (the j-th derivative picks
-up omega_i^j and the field prefactor already contributes only 1/4).
+up omega_i^j and the field prefactor already contributes only 1/4); this is
+``TAYLOR_BOUND_C``, and ``random_model`` draws omega_i from [0.5, 1].
 
 Two decompositions of H(t) are provided:
 
@@ -18,9 +19,9 @@ Two decompositions of H(t) are provided:
   local Hermitian terms, the 4x4 bond blocks on disjoint site pairs plus a
   2x2 diagonal term for the last site when it is left unpaired;
   ``split_at`` is their dense embedding.
-* ``coupling_matrix`` / ``field_diagonal`` -- the time-independent exchange
-  part and the diagonal of the field part, each self-commuting across
-  times, as required by the split schemes.
+* the exchange part C and ``field_diagonal`` -- the time-independent
+  exchange part and the diagonal of the field part, each self-commuting
+  across times, as required by the split schemes.
 
 Every operator the propagators use is ``a * C + diag(f . sigma^z)`` with C
 the exchange part: H(t) (a = 1, f the field amplitudes at t) or a CFQM
@@ -34,8 +35,7 @@ any batch of them from the cached blocks of C, built from the sector
 states, and the field diagonal; ``hamiltonians_at`` is its unit-exchange
 case over many times and ``sector_coupling_eigh`` the exchange eigenbasis
 per group.  ``dense`` scatters blocks into the 2^n x 2^n matrix; the
-public ``hamiltonian_at`` and ``coupling_matrix`` are that scatter, and no
-dense C is kept.
+public ``hamiltonian_at`` is that scatter, and no dense C is kept.
 
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
 matrices and has no such limit.
@@ -43,7 +43,6 @@ matrices and has no such limit.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,6 +87,10 @@ class HeisenbergModel:
         return 2 ** self.n
 
 
+#: The Taylor bound c of every chain with |omega_i| <= 1 (module docstring).
+TAYLOR_BOUND_C = 1.0
+
+
 def random_model(n: int, seed: int) -> HeisenbergModel:
     """Seeded model with phases ~ U[0, 2pi) and frequencies ~ U[0.5, 1]."""
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -98,24 +101,6 @@ def random_model(n: int, seed: int) -> HeisenbergModel:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=n)
     freqs = rng.uniform(0.5, 1.0, size=n)
     return HeisenbergModel(n=n, phases=phases, freqs=freqs)
-
-
-def taylor_bound_c(model: HeisenbergModel) -> float:
-    """Uniform bound c on the normalized midpoint Taylor coefficients.
-
-    For |omega_i| <= 1 the bound c = 1 holds for every derivative order.
-    Larger frequencies fall outside that regime; we then return
-    max(1, omega_max) and warn, since that value is a heuristic rather
-    than a uniform-in-j bound.
-    """
-    omega_max = float(np.abs(model.freqs).max())
-    if omega_max <= 1.0:
-        return 1.0
-    warnings.warn(
-        f"field frequencies up to {omega_max} exceed 1; the Taylor bound "
-        f"c = max(1, omega_max) is heuristic in this regime",
-        RuntimeWarning, stacklevel=2)
-    return max(1.0, omega_max)
 
 
 def require_dense(n: int) -> None:
@@ -138,14 +123,6 @@ def _site_z_diagonals(n: int) -> np.ndarray:
     """Diagonals of sigma_i^z, shape (n, 2^n), entries +-1."""
     require_dense(n)
     out = 1.0 - 2.0 * (np.arange(2 ** n) >> np.arange(n - 1, -1, -1)[:, None] & 1)
-    out.setflags(write=False)
-    return out
-
-
-def coupling_matrix(model: HeisenbergModel) -> np.ndarray:
-    """The time-independent exchange part (1/4n) sum sigma_i.sigma_{i+1},
-    dense and read-only."""
-    out = dense(model.n, _sector_coupling(model.n))
     out.setflags(write=False)
     return out
 

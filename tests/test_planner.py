@@ -61,7 +61,7 @@ def test_plan_meets_budget_minimally():
         assert p.h == 8.0 / p.r
         if p.r > 1:
             cbar = schemes.compute_cbar(scheme, mb.c)
-            below = planner._breakdown_at(scheme, mb, cbar, 8.0 / (p.r - 1), 1e-6)
+            below = planner._breakdown_at(scheme, mb, cbar, 8.0 / (p.r - 1))
             assert (p.r - 1) * below.total > p.epsilon
 
 

@@ -50,10 +50,19 @@ def test_inverse_transform_frozen_values():
     assert r3 == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _assert_exact_moments(s, nodes, weights):
+    # an s-point Gauss-Legendre rule integrates x^g over [-1, 1] exactly
+    # for g = 0..2s-1
+    for g in range(2 * s):
+        exact = 2.0 / (g + 1) if g % 2 == 0 else 0.0
+        assert abs(float(np.dot(weights, nodes ** g)) - exact) <= 1e-13, (s, g)
+
+
 def test_transform_invariants_all_orders():
     for s in range(1, 7):
         tm = transform_matrices(s)
-        assert tm.R @ tm.T == pytest.approx(np.eye(s), abs=1e-9)
+        _assert_exact_moments(s, tm.nodes, tm.weights)
+        assert tm.R @ tm.T == pytest.approx(np.eye(s), abs=1e-12)
         assert tm.Q @ np.ones(s) == pytest.approx(tm.T[:, 0], abs=1e-13)
         # R Q 1 = e_1: quadrature of the plain average recovers alpha_1
         assert tm.R @ tm.Q @ np.ones(s) == pytest.approx(
@@ -61,6 +70,8 @@ def test_transform_invariants_all_orders():
 
 
 def test_gauss_legendre_frozen_nodes():
+    for s in range(1, 7):
+        _assert_exact_moments(s, *gauss_legendre(s))
     nodes, weights = gauss_legendre(2)
     assert nodes == pytest.approx([-1 / SQ3, 1 / SQ3])
     assert weights == pytest.approx([1.0, 1.0])

@@ -17,7 +17,6 @@ from cfqm.spin_model import (
     hamiltonians_at,
     random_model,
     split_at,
-    taylor_bound_c,
 )
 from oracles import kron_coupling, kron_generators
 
@@ -101,14 +100,6 @@ def test_random_model_seeded_and_ranged():
     assert np.all((0.5 <= m1.freqs) & (m1.freqs <= 1.0))
 
 
-def test_taylor_bound_c_unit_for_slow_drives():
-    assert taylor_bound_c(random_model(4, seed=0)) == 1.0
-    fast = HeisenbergModel(n=2, phases=np.zeros(2), freqs=np.array([1.0, 2.5]))
-    with pytest.warns(RuntimeWarning):
-        c = taylor_bound_c(fast)
-    assert c == 2.5
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         HeisenbergModel(n=1, phases=np.zeros(1), freqs=np.ones(1))
@@ -135,9 +126,10 @@ def test_split_covers_every_field_site(n, seed):
 
 
 def test_coupling_matrix_cache_is_write_protected():
-    mat = spin_model.coupling_matrix(random_model(3, seed=0))
-    with pytest.raises(ValueError):
-        mat[0, 0] = 123.0
+    # the exchange part C is cached only as its sector blocks
+    for block in spin_model._sector_coupling(3):
+        with pytest.raises(ValueError):
+            block[0, 0, 0] = 123.0
 
 
 def test_split_is_the_dense_embedding_of_local_terms():
@@ -203,8 +195,8 @@ def test_sector_coupling_equals_the_gathered_dense_exchange():
         spin_model._sector_coupling.cache_clear()
         want = kron_coupling(n)
         model = random_model(n, seed=90 + n)
-        coupling = spin_model.coupling_matrix(model)
-        assert coupling.dtype == np.float64 and not coupling.flags.writeable
+        coupling = spin_model.dense(n, spin_model._sector_coupling(n))
+        assert coupling.dtype == np.float64
         assert np.array_equal(coupling, want)
         for (rows, cols), block in zip(spin_model.sector_groups(n),
                                        spin_model._sector_coupling(n)):
@@ -218,9 +210,9 @@ def test_sector_coupling_equals_the_gathered_dense_exchange():
 
 
 def test_dense_matrices_leave_no_dense_cache():
-    # hamiltonian_at and coupling_matrix scatter the cached sector blocks
-    # (1.5 MB at n = 10); a cached dense C would hold another 8 MB.  Every
-    # cache of the module starts empty, so what the calls keep is traced
+    # hamiltonian_at and the dense exchange part scatter the cached sector
+    # blocks (1.5 MB at n = 10); a cached dense C would hold another 8 MB.
+    # Every cache of the module starts empty, so what the calls keep is traced
     for cached in vars(spin_model).values():
         if hasattr(cached, "cache_clear"):
             cached.cache_clear()
@@ -229,7 +221,7 @@ def test_dense_matrices_leave_no_dense_cache():
     tracemalloc.start()
     try:
         spin_model.hamiltonian_at(model, 0.4)
-        spin_model.coupling_matrix(model)
+        spin_model.dense(model.n, spin_model._sector_coupling(model.n))
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
     finally:
