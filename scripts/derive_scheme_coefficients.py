@@ -415,15 +415,14 @@ def bound_figure(problem: Problem, params: np.ndarray,
         tbar, vbar = problem.matrices(params)
         scheme = schemes.CFQMScheme(
             scheme_id=problem.scheme_id, s=problem.s, m=problem.m, kind="split",
-            nodes=tm.nodes, weights=tm.weights,
-            rho=tbar @ tm.R @ tm.Q, sigma=vbar @ tm.R @ tm.Q,
+            nodes=tm.nodes, rho=tbar @ tm.R @ tm.Q, sigma=vbar @ tm.R @ tm.Q,
             y_rho=tbar @ tm.R, y_sigma=vbar @ tm.R)
     else:
         (x,) = problem.matrices(params)
         y = x @ tm.R
         scheme = schemes.CFQMScheme(
             scheme_id=problem.scheme_id, s=problem.s, m=problem.m,
-            kind="non-split", nodes=tm.nodes, weights=tm.weights, y=y, z=y @ tm.Q)
+            kind="non-split", nodes=tm.nodes, y=y, z=y @ tm.Q)
     cbar = schemes.compute_cbar(scheme, 1.0)
     pars = bounds.BoundParams(c=1.0, cbar=cbar, h=h, s=problem.s, m=problem.m, n=n)
     return bounds.step_error(scheme, pars).total

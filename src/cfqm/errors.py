@@ -27,6 +27,8 @@ class EpsilonTooLargeError(ValueError):
 class SchemeLookupError(KeyError):
     """Unknown scheme identifier."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 class DataIntegrityError(ValueError):
     """A coefficient file is malformed or fails a structural invariant."""

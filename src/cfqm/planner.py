@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -159,38 +159,30 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
         except DivergentRegimeError:
             return None
 
-    guards_ever_held = False
-    r = 1
-    feasible_r, feasible_bd = None, None
-    while r <= MAX_STEPS:
-        bd = attempt(r)
-        if bd is not None:
-            guards_ever_held = True
-            if r * bd.total <= epsilon:
-                feasible_r, feasible_bd = r, bd
-                break
-        r *= 2
-    if feasible_r is None:
-        if not guards_ever_held:
+    # the minimal feasible count lies in (lo, r] once r is feasible, and
+    # best is the breakdown at r
+    lo, r = 0, 1
+    while (best := attempt(r)) is None or r * best.total > epsilon:
+        if r == MAX_STEPS:
+            # h = T/r is smallest here and every guard is monotone in h, so
+            # this last attempt tells whether the guards ever held
+            if best is None:
+                raise InfeasiblePlanError(
+                    f"no step count up to 2**32 brings h = {total_time}/r inside "
+                    f"the convergence guards (c={model_bounds.c}); the bound "
+                    "series diverge everywhere on this range")
             raise InfeasiblePlanError(
-                f"no step count up to 2**32 brings h = {total_time}/r inside "
-                f"the convergence guards (c={model_bounds.c}); the bound "
-                "series diverge everywhere on this range")
-        raise InfeasiblePlanError(
-            f"no step count up to 2**32 meets epsilon={epsilon} for scheme "
-            f"{scheme.scheme_id} at T={total_time}")
-
-    lo = feasible_r // 2  # largest examined infeasible count (0 when r=1)
-    hi = feasible_r
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+                f"no step count up to 2**32 meets epsilon={epsilon} for scheme "
+                f"{scheme.scheme_id} at T={total_time}")
+        lo, r = r, 2 * r
+    while r - lo > 1:
+        mid = (lo + r) // 2
         bd = attempt(mid)
         if bd is not None and mid * bd.total <= epsilon:
-            hi, feasible_bd = mid, bd
+            r, best = mid, bd
         else:
             lo = mid
-    r = hi
-    assert r * feasible_bd.total <= epsilon
+    assert r * best.total <= epsilon
     return Plan(
         scheme_id=scheme.scheme_id,
         total_time=total_time,
@@ -199,7 +191,7 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
         h=total_time / r,
         r=r,
         exponentials=r * step_exponentials(scheme),
-        breakdown=feasible_bd,
+        breakdown=best,
         suzuki_exponentials=suzuki_exponentials(
             scheme.s, model_bounds.c, total_time, epsilon),
     )
@@ -273,22 +265,16 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
                 nn = value  # ModelBounds rejects non-integers
                 T = float(value) if total_time is None else total_time
                 eps = epsilon
-            row = {"scheme_id": scheme_id, "axis_value": value}
+            row = dict.fromkeys(SWEEP_COLUMNS)
+            row.update(scheme_id=scheme_id, axis_value=value)
             try:
                 p = plan(scheme, ModelBounds(c=c, n=nn), T, eps)
             except InfeasiblePlanError:
-                row.update(h=None, r=None, exponentials=None,
-                           magnus_taylor=None, cfqm_taylor=None,
-                           quadrature=None, trotter=None,
-                           suzuki_exponentials=suzuki_exponentials(
-                               scheme.s, c, T, eps),
-                           status="infeasible")
+                row.update(suzuki_exponentials=suzuki_exponentials(
+                    scheme.s, c, T, eps), status="infeasible")
             else:
-                row.update(h=p.h, r=p.r, exponentials=p.exponentials,
-                           magnus_taylor=p.breakdown.magnus_taylor,
-                           cfqm_taylor=p.breakdown.cfqm_taylor,
-                           quadrature=p.breakdown.quadrature,
-                           trotter=p.breakdown.trotter,
+                row.update(asdict(p.breakdown), h=p.h, r=p.r,
+                           exponentials=p.exponentials,
                            suzuki_exponentials=p.suzuki_exponentials,
                            status="ok")
             rows.append(row)

@@ -194,8 +194,9 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     rho_ik w)) V^T in their cached real eigenbases, and the field part is
     diagonal, so its exponentials are phases applied to the rows.  All
     phases are computed up front; the factors are then applied to each
-    group's block stack from i = m down to 1.  Zero coefficient rows (the
-    trailing sigma row) contribute identity factors and are skipped.
+    group's block stack from i = m down to 1.  Every factor is applied,
+    zero rows included: the trailing zero sigma row multiplies by exact
+    unit phases.
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
@@ -204,9 +205,6 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     fields = scheme.sigma @ np.stack(
         [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)])
     field_phases = np.exp(-1j * h * fields)  # (m, 2^n)
-    factors = list(zip(reversed(range(scheme.m)),
-                       np.abs(scheme.sigma[::-1]).max(axis=1) > 0.0,
-                       np.abs(scheme.rho[::-1]).max(axis=1) > 0.0))
     blocks = []
     for (rows, cols), (evals, evecs) in zip(spin_model.sector_groups(n),
                                             spin_model.sector_coupling_eigh(n)):
@@ -215,11 +213,9 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
                           * evals[..., None])
         evecs_t = np.swapaxes(evecs, -1, -2)
         u = np.tile(np.eye(evecs.shape[-1], dtype=complex), (len(evecs), 1, 1))
-        for i, field, coupling in factors:
-            if field:
-                u *= phases[i]
-            if coupling:
-                u = _real_left(evecs, exchange[i] * _real_left(evecs_t, u))
+        for i in reversed(range(scheme.m)):
+            u *= phases[i]
+            u = _real_left(evecs, exchange[i] * _real_left(evecs_t, u))
         blocks.append(u)
     return spin_model.dense(n, blocks)
 

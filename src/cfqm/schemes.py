@@ -156,7 +156,6 @@ class CFQMScheme:
     m: int
     kind: str
     nodes: np.ndarray
-    weights: np.ndarray
     y: np.ndarray | None = None
     z: np.ndarray | None = None
     rho: np.ndarray | None = None
@@ -242,8 +241,7 @@ def parse_scheme_text(text: str, *, source: str = "<string>") -> CFQMScheme:
             raise DataIntegrityError(f"{source}: non-split scheme with rho/sigma rows")
         y = as_matrix("y", m)
         scheme = CFQMScheme(scheme_id=scheme_id, s=s, m=m, kind=kind,
-                            nodes=tm.nodes, weights=tm.weights,
-                            y=y, z=y @ tm.Q)
+                            nodes=tm.nodes, y=y, z=y @ tm.Q)
     else:
         if rows["y"]:
             raise DataIntegrityError(f"{source}: split scheme with y rows")
@@ -251,8 +249,7 @@ def parse_scheme_text(text: str, *, source: str = "<string>") -> CFQMScheme:
         sigma = as_matrix("sigma", m)
         q_inv = np.linalg.inv(tm.Q)
         scheme = CFQMScheme(scheme_id=scheme_id, s=s, m=m, kind=kind,
-                            nodes=tm.nodes, weights=tm.weights,
-                            rho=rho, sigma=sigma,
+                            nodes=tm.nodes, rho=rho, sigma=sigma,
                             y_rho=rho @ q_inv, y_sigma=sigma @ q_inv)
     _validate_scheme(scheme, source)
     return scheme

@@ -40,7 +40,8 @@ def test_unknown_scheme_reports_error_line(capsys):
                    "--spins", "4", "--eps", "1e-3"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: SchemeLookupError:")
+    assert err == ("error: SchemeLookupError: unknown scheme 'CF9-9'; available: "
+                   "CF2-1, CF4-2, CF4-3, CF6-5, CF6-6, GS6-4, GS10-6\n")
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

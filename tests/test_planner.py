@@ -101,6 +101,40 @@ def test_plan_reports_divergence():
     assert "diverge" in str(err.value)
 
 
+_DOUBLING = [2 ** k for k in range(33)]
+
+
+@pytest.mark.parametrize("scheme_id, total_time, n, epsilon, probes, outcome", [
+    ("CF4-2", 1024.0, 128, 1e-3,
+     _DOUBLING[:17] + [49152, 57344, 53248, 55296, 54272, 54784, 55040, 55168,
+                       55104, 55136, 55120, 55128, 55124, 55126, 55125],
+     55125),
+    ("GS10-6", 4.0, 4, 1e-2,
+     _DOUBLING[:10] + [384, 320, 288, 272, 264, 268, 266, 265], 266),
+    ("CF2-1", 1.0, 4, 1e-30, _DOUBLING, "meets epsilon"),
+    ("CF2-1", float(2 ** 34), 4, 1e-3, _DOUBLING, "diverge"),
+])
+def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
+                                       epsilon, probes, outcome):
+    # the bound evaluations plan spends: doubling, then bisection of the
+    # bracket, every h exactly T / r
+    seen = []
+    breakdown_at = planner._breakdown_at
+
+    def recording(scheme, model_bounds, cbar, h):
+        seen.append(h)
+        return breakdown_at(scheme, model_bounds, cbar, h)
+
+    monkeypatch.setattr(planner, "_breakdown_at", recording)
+    args = (_scheme(scheme_id), ModelBounds(c=1.0, n=n), total_time, epsilon)
+    if isinstance(outcome, int):
+        assert plan(*args).r == outcome
+    else:
+        with pytest.raises(InfeasiblePlanError, match=outcome):
+            plan(*args)
+    assert seen == [total_time / r for r in probes]
+
+
 def test_suzuki_yardstick_vacuous_when_budget_exceeds_validity():
     # order-2 validity needs eps <= 0.9 * (5/3) * lam * T
     assert planner.suzuki_exponentials(1, 1.0, 0.1, 1.0) is None

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -332,6 +333,24 @@ def test_product_formula_factors_merge_same_block_neighbours():
 def test_split_step_matches_per_factor_exponentials(scheme_id):
     scheme = schemes.load_scheme(scheme_id)
     for n in range(2, 9):
+        model = random_model(n, seed=20 + n)
+        for t0, h in ((0.3, 0.1), (2.2, 0.6)):
+            dist = spectral_distance(split_step(scheme, model, t0, h),
+                                     per_factor_split_step(scheme, model, t0, h))
+            assert dist <= 1e-12, (n, t0, h, dist)
+
+
+def test_split_step_applies_zero_exchange_rows():
+    # GS6-4 with its rho rows 2 and 5 zeroed: they pair under time
+    # antisymmetry, so the parser accepts it, and their exchange factors,
+    # applied as unit phases, must leave the step unchanged
+    lines = resources.files("cfqm.data").joinpath("gs6-4.txt").read_text().splitlines()
+    rho_rows = [i for i, line in enumerate(lines) if line.startswith("rho ")]
+    for i in (rho_rows[1], rho_rows[4]):
+        lines[i] = "rho 0 0"
+    scheme = schemes.parse_scheme_text("\n".join(lines))
+    assert not scheme.rho[[1, 4]].any()
+    for n in range(2, 7):
         model = random_model(n, seed=20 + n)
         for t0, h in ((0.3, 0.1), (2.2, 0.6)):
             dist = spectral_distance(split_step(scheme, model, t0, h),
