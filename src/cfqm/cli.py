@@ -21,10 +21,13 @@ from . import planner, schemes, spin_model
 
 def _grid(text: str) -> list[float]:
     """Parse a comma-separated numeric grid; ``a:b:k`` expands to k
-    geometrically spaced points from a to b."""
+    geometrically spaced points from a to b, each point within 1e-12
+    relative of an integer snapped to it (geomspace misses exact powers)."""
     if ":" in text:
         lo, hi, num = text.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(num)))
+        points = np.geomspace(float(lo), float(hi), int(num))
+        near = np.round(points)
+        return list(np.where(abs(points - near) <= 1e-12 * abs(points), near, points))
     return [float(tok) for tok in text.split(",") if tok]
 
 

@@ -11,12 +11,11 @@ diagonal: every step starts from these per-exponential exchange and field
 weights.  Both parts conserve sum_i sigma_i^z, so every exponent and
 propagator is block-diagonal over the magnetization sectors of
 :func:`cfqm.spin_model.sector_groups`, and no kernel works on dense
-2^n x 2^n arrays: the exact step, the split step (in the cached exchange
-eigenbasis of each block), the trotterized step (in the real eigenbases
-of the two parts of the odd/even split, whose factors become phases
-joined by one real change of basis) and the reference work on the
-per-group block stacks and scatter them into the dense result once,
-through :func:`cfqm.spin_model.dense`.
+2^n x 2^n arrays: every kernel works on the per-group block stacks and
+scatters them into the dense result once, through
+:func:`cfqm.spin_model.dense`.  The split and the trotterized step are one
+:func:`_phase_chain` per group, phases in real eigenbases joined by real
+changes of basis; each step only builds the chain's inputs.
 
 The exact step's exponents and the reference's micro-steps are
 exp(-i tau G) for real symmetric sector blocks G of small norm, which
@@ -179,44 +178,45 @@ def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
         for generators in spin_model.sector_generators(model, exchange, fields)])
 
 
-def _real_left(mat: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """mat @ u for a real mat and a C-contiguous complex u, as one real
-    product on the interleaved (re, im) columns of u."""
-    return (mat @ u.view(float)).view(complex)
+def _phase_chain(first, changes, phases, last) -> np.ndarray:
+    """last diag(phases[-1]) changes[-1] ... changes[0] diag(phases[0]) first.
+
+    ``first``, ``changes`` and ``last`` are real matrices and ``phases`` F
+    unit-modulus diagonals of shape batch + (d,), with F - 1 changes; all
+    broadcast over the leading batch.  Every real factor is one real
+    product on the interleaved (re, im) columns of the complex accumulator,
+    and each diagonal multiplies it in place.
+    """
+    u = np.ascontiguousarray(phases[0][..., None] * first)
+    for change, phase in zip(changes, phases[1:]):
+        u = (change @ u.view(float)).view(complex)
+        u *= phase[..., None]
+    return (last @ u.view(float)).view(complex)
 
 
 def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
     """One step of a split scheme, alternating exchange and field exponentials.
 
-    Each family commutes across the quadrature nodes by construction: the
-    exchange part is one time-independent matrix whose blocks are
-    V diag(w) V^T, so exp(-i h sum_k rho_ik C) = V diag(exp(-i h sum_k
-    rho_ik w)) V^T in their cached real eigenbases, and the field part is
-    diagonal, so its exponentials are phases applied to the rows.  All
-    phases are computed up front; the factors are then applied to each
-    group's block stack from i = m down to 1.  Every factor is applied,
-    zero rows included: the trailing zero sigma row multiplies by exact
-    unit phases.
+    The chain runs from i = m down to 1 over the field phases of exponent i
+    and its exchange phases in the cached real eigenbasis V of each
+    exchange block: first = I, changes V^T, V, V^T, ..., and last = V.  A
+    zero sigma or rho row gives exact unit phases.
     """
     if not scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is not a split scheme; use cfqm_step")
     require_finite(t0=t0, h=h)
     n = model.n
-    fields = scheme.sigma @ np.stack(
-        [spin_model.field_diagonal(model, t) for t in node_times(scheme, t0, h)])
+    fields = scheme.sigma @ spin_model.field_diagonal(model, node_times(scheme, t0, h))
     field_phases = np.exp(-1j * h * fields)  # (m, 2^n)
     blocks = []
     for (rows, cols), (evals, evecs) in zip(spin_model.sector_groups(n),
                                             spin_model.sector_coupling_eigh(n)):
-        phases = field_phases[:, rows]  # (m, g, d_k, 1)
-        exchange = np.exp(-1j * h * scheme.rho.sum(axis=1)[:, None, None, None]
-                          * evals[..., None])
+        exchange = np.exp(-1j * h * scheme.rho.sum(axis=1)[:, None, None] * evals)
+        phases = [p for i in reversed(range(scheme.m))
+                  for p in (field_phases[i, rows[..., 0]], exchange[i])]
         evecs_t = np.swapaxes(evecs, -1, -2)
-        u = np.tile(np.eye(evecs.shape[-1], dtype=complex), (len(evecs), 1, 1))
-        for i in reversed(range(scheme.m)):
-            u *= phases[i]
-            u = _real_left(evecs, exchange[i] * _real_left(evecs_t, u))
-        blocks.append(u)
+        blocks.append(_phase_chain(np.eye(evecs.shape[-1]),
+                                   ([evecs_t, evecs] * scheme.m)[:-1], phases, evecs))
     return spin_model.dense(n, blocks)
 
 
@@ -336,13 +336,12 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     (2s)-th order product formula over the odd/even block split.
 
     Exponential i is exp(-i h (B_i + C_i)) with B_i = sum_k z_ik H_odd(t_k)
-    and C_i likewise.  In the parts' real eigenbases
-    (:func:`_split_eigenbases`) every factor exp(-i tau P) of the merged
-    sequence is phases, and consecutive factors are joined by the one
-    real change of basis W_C^T W_B (or its transpose), so each group's
-    product is W^T, phases, a change of basis, phases, ..., W.  All m
-    exponentials are carried as a stack through each group's factor loop
-    and then multiplied, exponential m acting first.
+    and C_i likewise.  Each factor exp(-i tau P) of the merged sequence is
+    phases in P's real eigenbasis W (:func:`_split_eigenbases`), so the
+    chain is first = W^T of the first factor's part, changes W_C^T W_B or
+    its transpose, and last = W of the last factor's part, with the m
+    exponentials as its batch; they are then multiplied, exponential m
+    acting first.
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
@@ -355,14 +354,13 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     taus = h * np.array([coeff for _, coeff in factors])
     blocks = []
     for w, lam in _split_eigenbases(n, exchange, fields):
-        phases = np.exp(-1j * taus[:, None, None] * lam[:, order])[..., None]
+        phases = np.exp(-1j * taus[:, None, None] * lam[:, order])
         into_c = np.swapaxes(w[:, 1], -1, -2) @ w[:, 0]  # B eigenbasis -> C eigenbasis
         change = (np.ascontiguousarray(np.swapaxes(into_c, -1, -2)), into_c)
-        u = np.ascontiguousarray(phases[:, 0] * np.swapaxes(w[:, order[0]], -1, -2))
-        for j in range(1, len(factors)):
-            u = _real_left(change[order[j]], u)
-            u *= phases[:, j]
-        blocks.append(_tree_product(_real_left(w[:, order[-1]], u)[::-1]))
+        u = _phase_chain(np.swapaxes(w[:, order[0]], -1, -2),
+                         [change[p] for p in order[1:]],
+                         np.moveaxis(phases, 1, 0), w[:, order[-1]])
+        blocks.append(_tree_product(u[::-1]))
     return spin_model.dense(n, blocks)
 
 

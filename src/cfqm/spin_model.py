@@ -134,8 +134,9 @@ def field_amplitudes(model: HeisenbergModel, times) -> np.ndarray:
     return np.cos(model.phases + model.freqs * ts) / (4.0 * model.n)
 
 
-def field_diagonal(model: HeisenbergModel, t: float) -> np.ndarray:
-    """Diagonal of the field part (1/4n) sum cos(phi_i + omega_i t) sigma_i^z."""
+def field_diagonal(model: HeisenbergModel, t) -> np.ndarray:
+    """Diagonal of the field part (1/4n) sum cos(phi_i + omega_i t) sigma_i^z
+    at a time or an array of times, shape ``np.shape(t) + (2^n,)``."""
     return field_amplitudes(model, t) @ _site_z_diagonals(model.n)
 
 

@@ -11,6 +11,7 @@ from cfqm import cli, spin_model
 def test_grid_parser():
     assert cli._grid("0.1,0.2,0.4") == [0.1, 0.2, 0.4]
     assert cli._grid("1:4:3") == pytest.approx([1.0, 2.0, 4.0])
+    assert cli._grid("4:64:3") == [4.0, 16.0, 64.0]  # geomspace gives 15.99...
     with pytest.raises(ValueError):
         cli._grid("1:4")
 
@@ -163,6 +164,15 @@ def test_sweep_rejects_non_integer_spins(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: ValueError: n must be an integer, got 2.5\n"
     assert not out.exists()
+
+
+def test_geometric_grid_drives_spins_sweep(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["sweep", "--axis", "spins", "--grid", "4:64:3", "--eps",
+                   "1e-3", "--scheme", "CF2-1", "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    with open(out, newline="") as fh:
+        assert [row["axis_value"] for row in csv.DictReader(fh)] == ["4", "16", "64"]
 
 
 @pytest.mark.parametrize("command", [

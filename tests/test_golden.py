@@ -14,7 +14,11 @@ pins each measured error to 1e-12 *relative*, far below 1e-12 absolute
 kernel change that only moves the rounding of a step can move this golden.
 
 After a deliberate change to the plans, regenerate the CSVs with
-``python tests/test_golden.py`` and review the diff.
+``python tests/test_golden.py`` and review the diff.  Before it rewrites
+the validate CSV, that command prints to stderr what the re-record moves:
+the rows whose measured error changed, by scheme, the largest absolute
+change of a measured error and relative change of a ratio, and any change
+in the pinned columns.
 """
 
 import contextlib
@@ -22,6 +26,7 @@ import csv
 import io
 import math
 import re
+from collections import Counter
 import shlex
 import sys
 from pathlib import Path
@@ -101,16 +106,57 @@ def _run_readme_validate(out: Path) -> None:
         assert cli.main(argv) == 0
 
 
+#: validate CSV columns pinned byte for byte
+VALIDATE_PINNED = ("scheme_id", "t0", "h", "bound_total", "status")
+
+
+def _read_rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def _validate_diff(old: list[dict], new: list[dict]) -> str:
+    """What replacing the validate rows ``old`` by ``new`` moves."""
+    pairs = list(zip(old, new))
+    moved = Counter(b["scheme_id"] for a, b in pairs
+                    if a["measured_error"] != b["measured_error"])
+    d_error = max((abs(float(b["measured_error"]) - float(a["measured_error"]))
+                   for a, b in pairs), default=0.0)
+    d_ratio = max((abs(float(b["ratio"]) - float(a["ratio"])) / abs(float(a["ratio"]))
+                   if a["ratio"] != b["ratio"] else 0.0 for a, b in pairs), default=0.0)
+    pinned = [f"row {k} {col}: {a[col]} -> {b[col]}" for k, (a, b) in enumerate(pairs)
+              for col in VALIDATE_PINNED if a[col] != b[col]]
+    if len(old) != len(new):
+        pinned.append(f"row count: {len(old)} -> {len(new)}")
+    by_scheme = ", ".join(f"{sid} {count}" for sid, count in moved.items())
+    return (f"measured_error changed in {sum(moved.values())} of {len(new)} rows"
+            f"{': ' + by_scheme if moved else ''}\n"
+            f"largest |delta measured_error|: {d_error:.3g}\n"
+            f"largest relative delta ratio: {d_ratio:.3g}\n"
+            f"pinned column changes: {'; '.join(pinned) or 'none'}")
+
+
+def test_validate_diff_reports_moved_rows_and_pinned_columns():
+    old = [dict(scheme_id=sid, t0="0.1", h="0.2", bound_total="1e-3",
+                status="ok", measured_error="1e-6", ratio="1e-3")
+           for sid in ("CF4-2", "GS6-4")]
+    assert _validate_diff(old, old) == (
+        "measured_error changed in 0 of 2 rows\nlargest |delta measured_error|: 0\n"
+        "largest relative delta ratio: 0\npinned column changes: none")
+    new = [dict(old[0]), dict(old[1], measured_error="1.5e-6", ratio="1.5e-3", h="0.3")]
+    assert _validate_diff(old, new) == (
+        "measured_error changed in 1 of 2 rows: GS6-4 1\n"
+        "largest |delta measured_error|: 5e-07\nlargest relative delta ratio: 0.5\n"
+        "pinned column changes: row 1 h: 0.2 -> 0.3")
+
+
 def test_readme_validate_csv_matches_golden(tmp_path):
     out = tmp_path / "report.csv"
     _run_readme_validate(out)
-    with open(out, newline="") as fh:
-        got = list(csv.DictReader(fh))
-    with open(VALIDATE_GOLDEN, newline="") as fh:
-        want = list(csv.DictReader(fh))
+    got, want = _read_rows(out), _read_rows(VALIDATE_GOLDEN)
     assert len(got) == len(want) == 50
     for row, ref in zip(got, want):
-        for col in ("scheme_id", "t0", "h", "bound_total", "status"):
+        for col in VALIDATE_PINNED:
             assert row[col] == ref[col], (col, row, ref)
         assert math.isclose(float(row["measured_error"]),
                             float(ref["measured_error"]), rel_tol=0, abs_tol=1e-12)
@@ -146,5 +192,7 @@ if __name__ == "__main__":
     for axis in PINNED_SWEEPS:
         _run_sweep(axis, _golden_path(axis))
         print(f"wrote {_golden_path(axis)}", file=sys.stderr)
+    old_rows = _read_rows(VALIDATE_GOLDEN) if VALIDATE_GOLDEN.exists() else []
     _run_readme_validate(VALIDATE_GOLDEN)
+    print(_validate_diff(old_rows, _read_rows(VALIDATE_GOLDEN)), file=sys.stderr)
     print(f"wrote {VALIDATE_GOLDEN}", file=sys.stderr)

@@ -11,6 +11,7 @@ from cfqm import propagators, schemes, spin_model
 from cfqm.propagators import (
     _expm,
     _midpoint_product,
+    _phase_chain,
     _suzuki_stages,
     cfqm_step,
     node_times,
@@ -315,6 +316,29 @@ def test_split_eigenbases_keep_sectors_when_local_spectra_are_degenerate():
                     (w[0, p] * lam[0, p, ..., None, :]) @ np.swapaxes(w[0, p], -1, -2)
                     for w, lam in groups])
                 assert np.linalg.norm(rebuilt - dense, 2) <= 1e-14, (n, p)
+
+
+def test_phase_chain_matches_dense_product():
+    rng = np.random.default_rng(11)
+    d = 5
+
+    def orthogonal(batch):
+        return np.linalg.qr(rng.normal(size=batch + (d, d)))[0]
+
+    for batch in ((), (2,), (3, 2)):
+        shared = orthogonal(batch)
+        for changes in ([], [orthogonal(batch) for _ in range(4)], [shared] * 4):
+            first, last = orthogonal(batch), orthogonal(batch)
+            phases = np.exp(1j * rng.uniform(-np.pi, np.pi,
+                                             size=(len(changes) + 1,) + batch + (d,)))
+            diag = phases[..., None] * np.eye(d)
+            want = diag[0] @ first
+            for change, phase in zip(changes, diag[1:]):
+                want = phase @ change @ want
+            want = last @ want
+            got = _phase_chain(first, changes, phases, last)
+            assert got.shape == batch + (d, d)
+            assert np.abs(got - want).max() <= 1e-13, (batch, len(changes))
 
 
 def test_product_formula_factors_merge_same_block_neighbours():
