@@ -20,14 +20,13 @@ from . import planner, schemes, spin_model
 
 
 def _grid(text: str) -> list[float]:
-    """Parse a comma-separated numeric grid; ``a:b:k`` expands to k
-    geometrically spaced points from a to b, each point within 1e-12
-    relative of an integer snapped to it (geomspace misses exact powers)."""
+    """Parse a comma-separated numeric grid; ``a:b:k`` expands to k geometric
+    points from a to b, each snapped to an integer within 1e-12 relative."""
     if ":" in text:
         lo, hi, num = text.split(":")
         points = np.geomspace(float(lo), float(hi), int(num))
-        near = np.round(points)
-        return list(np.where(abs(points - near) <= 1e-12 * abs(points), near, points))
+        near = np.round(points)  # geomspace misses exact powers by a few ulps
+        return list(np.where(np.isclose(points, near, rtol=1e-12, atol=0), near, points))
     return [float(tok) for tok in text.split(",") if tok]
 
 

@@ -214,9 +214,8 @@ def split_step(scheme, model, t0: float, h: float) -> np.ndarray:
         exchange = np.exp(-1j * h * scheme.rho.sum(axis=1)[:, None, None] * evals)
         phases = [p for i in reversed(range(scheme.m))
                   for p in (field_phases[i, rows[..., 0]], exchange[i])]
-        evecs_t = np.swapaxes(evecs, -1, -2)
-        blocks.append(_phase_chain(np.eye(evecs.shape[-1]),
-                                   ([evecs_t, evecs] * scheme.m)[:-1], phases, evecs))
+        changes = [np.swapaxes(evecs, -1, -2), evecs] * scheme.m
+        blocks.append(_phase_chain(np.eye(evecs.shape[-1]), changes[:-1], phases, evecs))
     return spin_model.dense(n, blocks)
 
 

@@ -26,9 +26,9 @@ import csv
 import io
 import math
 import re
-from collections import Counter
 import shlex
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
