@@ -24,7 +24,8 @@ def _grid(text: str) -> list[float]:
     points from a to b, each snapped to an integer within 1e-12 relative."""
     if ":" in text:
         lo, hi, num = text.split(":")
-        points = np.geomspace(float(lo), float(hi), int(num))
+        with np.errstate(invalid="ignore"):  # a bad end fails later, in one error line
+            points = np.geomspace(float(lo), float(hi), int(num))
         near = np.round(points)  # geomspace misses exact powers by a few ulps
         return list(np.where(np.isclose(points, near, rtol=1e-12, atol=0), near, points))
     return [float(tok) for tok in text.split(",") if tok]

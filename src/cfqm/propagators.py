@@ -15,7 +15,8 @@ propagator is block-diagonal over the magnetization sectors of
 scatters them into the dense result once, through
 :func:`cfqm.spin_model.dense`.  The split and the trotterized step are one
 :func:`_phase_chain` per group, phases in real eigenbases joined by real
-changes of basis; each step only builds the chain's inputs.
+changes of basis; each step only builds the chain's inputs.  The trotterized
+step's factors are symmetric and a palindrome: U = Z^T diag(phi_mid) Z.
 
 The exact step's exponents and the reference's micro-steps are
 exp(-i tau G) for real symmetric sector blocks G of small norm, which
@@ -325,8 +326,8 @@ def _split_eigenbases(n: int, exchange, fields) -> list[tuple[np.ndarray, np.nda
         spectra[:, p, :len(sites), 3] = blocks[..., 3, 3]
         if end is not None:
             spectra[:, p, len(sites), :2] = end
-    bases, spectra = bases.reshape(m, -1), spectra.reshape(m, -1)
-    return [(bases[:, entries].prod(axis=2), spectra[:, diagonal].sum(axis=2))
+    return [(np.take(bases.reshape(m, -1), entries, axis=1).prod(axis=2),
+             np.take(spectra.reshape(m, -1), diagonal, axis=1).sum(axis=2))
             for entries, diagonal in groups]
 
 
@@ -335,12 +336,13 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     (2s)-th order product formula over the odd/even block split.
 
     Exponential i is exp(-i h (B_i + C_i)) with B_i = sum_k z_ik H_odd(t_k)
-    and C_i likewise.  Each factor exp(-i tau P) of the merged sequence is
-    phases in P's real eigenbasis W (:func:`_split_eigenbases`), so the
-    chain is first = W^T of the first factor's part, changes W_C^T W_B or
-    its transpose, and last = W of the last factor's part, with the m
-    exponentials as its batch; they are then multiplied, exponential m
-    acting first.
+    and C_i likewise.  Its F factors A_k = exp(-i tau_k P) are phases in P's
+    real eigenbasis W (:func:`_split_eigenbases`); they equal their transposes
+    as P is real symmetric, and they form a palindrome, so the product is
+    X^T A_mid X = Z^T diag(phi_mid) Z with X = A_(mid-1) ... A_0, mid = F // 2.
+    Z = W_mid^T X is the chain with first = W^T of the first factor's part,
+    changes W_C^T W_B or its transpose and last = the change into W_mid, with
+    the m exponentials as its batch; they are then multiplied, m acting first.
     """
     if scheme.is_split:
         raise ValueError(f"{scheme.scheme_id} is a split scheme; it is not trotterized")
@@ -351,14 +353,16 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     factors = product_formula_factors(scheme.s)
     order = [part for part, _ in factors]
     taus = h * np.array([coeff for _, coeff in factors])
+    mid = len(factors) // 2  # the factors are a palindrome around factor mid
     blocks = []
     for w, lam in _split_eigenbases(n, exchange, fields):
-        phases = np.exp(-1j * taus[:, None, None] * lam[:, order])
+        phases = np.exp(-1j * taus[:mid + 1, None, None] * lam[:, order[:mid + 1]])
         into_c = np.swapaxes(w[:, 1], -1, -2) @ w[:, 0]  # B eigenbasis -> C eigenbasis
         change = (np.ascontiguousarray(np.swapaxes(into_c, -1, -2)), into_c)
-        u = _phase_chain(np.swapaxes(w[:, order[0]], -1, -2),
-                         [change[p] for p in order[1:]],
-                         np.moveaxis(phases, 1, 0), w[:, order[-1]])
+        z = _phase_chain(np.swapaxes(w[:, order[0]], -1, -2),
+                         [change[p] for p in order[1:mid]],
+                         np.moveaxis(phases[:, :mid], 1, 0), change[order[mid]])
+        u = np.swapaxes(z, -1, -2) @ (phases[:, mid, ..., None] * z)
         blocks.append(_tree_product(u[::-1]))
     return spin_model.dense(n, blocks)
 

@@ -175,6 +175,22 @@ def test_geometric_grid_drives_spins_sweep(tmp_path, capsys):
         assert [row["axis_value"] for row in csv.DictReader(fh)] == ["4", "16", "64"]
 
 
+@pytest.mark.filterwarnings("error")  # numpy's warnings would print before the line
+@pytest.mark.parametrize("grid, detail", [
+    ("1:inf:3", "total_time must be finite, got inf"),
+    ("-1:4:3", "total_time must be positive, got -1.0"),
+])
+def test_bad_geometric_grid_end_reports_one_error_line(tmp_path, capsys, grid, detail):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["sweep", "--axis", "time", f"--grid={grid}", "--eps", "1e-3",
+                   "--spins", "4", "--scheme", "CF2-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {detail}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["validate", "--scheme", "CF4-2", "--spins", "3", "--samples", "2"],
     ["verify-order", "--scheme", "CF4-2", "--spins", "3"],

@@ -353,6 +353,25 @@ def test_product_formula_factors_merge_same_block_neighbours():
     assert product_formula_factors(1) == ((1, 0.5), (0, 1.0), (1, 0.5))
 
 
+def test_product_formula_factors_are_an_exact_palindrome():
+    # the trotterized step chains only the first half of the factors
+    for s in (1, 2, 3):
+        factors = product_formula_factors(s)
+        assert factors == factors[::-1], s
+
+
+def test_one_exponential_trotterized_step_is_complex_symmetric():
+    # every factor exp(-i tau P) has a real symmetric P, and the factors
+    # form a palindrome, so CF2-1's single exponential is its own transpose
+    scheme = schemes.load_scheme("CF2-1")
+    for n in range(2, 9):
+        for seed in (1, 2):
+            model = random_model(n, seed=seed)
+            for h in (0.1, 0.6):
+                u = trotterized_cfqm_step(scheme, model, 0.7 * seed, h)
+                assert np.abs(u - u.T).max() <= 1e-15, (n, seed, h)
+
+
 @pytest.mark.parametrize("scheme_id", ["GS6-4", "GS10-6"])
 def test_split_step_matches_per_factor_exponentials(scheme_id):
     scheme = schemes.load_scheme(scheme_id)
