@@ -345,19 +345,14 @@ def test_product_formula_factors_merge_same_block_neighbours():
     for s, length in ((1, 3), (2, 11), (3, 51)):
         factors = product_formula_factors(s)
         assert len(factors) == length
+        # exact, parts and coefficients: the trotterized step chains only half
+        assert factors == factors[::-1], s
         parts = [part for part, _ in factors]
         assert all(a != b for a, b in zip(parts, parts[1:]))
         for part in (0, 1):
             total = sum(coeff for p, coeff in factors if p == part)
             assert total == pytest.approx(1.0, abs=1e-13)
     assert product_formula_factors(1) == ((1, 0.5), (0, 1.0), (1, 0.5))
-
-
-def test_product_formula_factors_are_an_exact_palindrome():
-    # the trotterized step chains only the first half of the factors
-    for s in (1, 2, 3):
-        factors = product_formula_factors(s)
-        assert factors == factors[::-1], s
 
 
 def test_one_exponential_trotterized_step_is_complex_symmetric():
