@@ -351,12 +351,12 @@ def trotterized_cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
     spin_model.require_dense(n)
     exchange, fields = _exponent_weights(scheme, model, t0, h)
     factors = product_formula_factors(scheme.s)
-    order = [part for part, _ in factors]
-    taus = h * np.array([coeff for _, coeff in factors])
     mid = len(factors) // 2  # the factors are a palindrome around factor mid
+    order = [part for part, _ in factors[:mid + 1]]
+    taus = h * np.array([coeff for _, coeff in factors[:mid + 1]])
     blocks = []
     for w, lam in _split_eigenbases(n, exchange, fields):
-        phases = np.exp(-1j * taus[:mid + 1, None, None] * lam[:, order[:mid + 1]])
+        phases = np.exp(-1j * taus[:, None, None] * lam[:, order])
         into_c = np.swapaxes(w[:, 1], -1, -2) @ w[:, 0]  # B eigenbasis -> C eigenbasis
         change = (np.ascontiguousarray(np.swapaxes(into_c, -1, -2)), into_c)
         z = _phase_chain(np.swapaxes(w[:, order[0]], -1, -2),
