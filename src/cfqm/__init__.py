@@ -27,7 +27,6 @@ from .schemes import (
 )
 from .spin_model import (
     HeisenbergModel,
-    hamiltonian_at,
     random_model,
     split_at,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "cfqm_remainder",
     "cfqm_step",
     "compute_cbar",
-    "hamiltonian_at",
     "load_scheme",
     "magnus_remainder",
     "parse_scheme_text",

@@ -31,6 +31,7 @@ series work.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -208,6 +209,8 @@ def quadrature_remainder(y, c: float, h: float, s: int) -> float:
 
     and requires h < 2.  Note the 1/h**g weight: rows that draw strongly on
     the higher averaged generators make this term dominant at small h.
+    Once the prefactor leaves the normal float range (h < 1.6e-61 at
+    s = 2), the weights carry its h**(2s+1) instead: |y_{i,g}| h**(2s+1-g).
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
@@ -220,9 +223,12 @@ def quadrature_remainder(y, c: float, h: float, s: int) -> float:
     ymat = np.atleast_2d(np.asarray(y, dtype=float))
     if ymat.shape[1] != s:
         raise ValueError(f"y must have s={s} columns, got shape {ymat.shape}")
-    prefactor = (h ** (2 * s + 1) * math.factorial(s) ** 4
-                 / ((2 * s + 1) * math.factorial(2 * s) ** 3))
+    numer, denom = math.factorial(s) ** 4, (2 * s + 1) * math.factorial(2 * s) ** 3
+    prefactor = h ** (2 * s + 1) * numer / denom
     inner = _quadrature_inner_sum(c, h, s)
+    if prefactor < sys.float_info.min:
+        powers = [h ** (2 * s + 1 - g) for g in range(s)]
+        return numer / denom * inner * math.fsum((np.abs(ymat) * powers).flat)
     # row by row, left to right, in Python floats (not sum(), which
     # compensates floats from Python 3.12 on)
     scales = [h ** g for g in range(s)]
@@ -354,18 +360,17 @@ class _SuzukiCountOverflow(ValueError):
     """A Suzuki count beyond float range; the planner records no count."""
 
 
-def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> int:
-    """Exponential count for one Suzuki step of order 2s on a q-local
+def suzuki_step_cost(lam: float, h: float, s: int, eps_step: float) -> int:
+    """Exponential count for one Suzuki step of order 2s on a 2-local
     Hamiltonian with interaction strength lam, meeting per-step error
-    eps_step.
+    eps_step.  The odd/even blocks of the chain's split are 2-local, so
+    the locality factor q of the cost model is 2 and 3 q is 6:
 
-    N = ceil(3 q lam h s (25/3)**s (lam h / eps_step)**(1/(2s))),
+    N = ceil(6 lam h s (25/3)**s (lam h / eps_step)**(1/(2s))),
     valid for eps_step <= (9/10) (5/3)**s lam h; larger targets raise
     :class:`EpsilonTooLargeError` (the cost model is vacuous there), and a
     count that overflows a float raises ValueError.
     """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
     if lam <= 0 or h <= 0 or eps_step <= 0:
         raise ValueError("lam, h and eps_step must be positive")
     if s < 1:
@@ -376,7 +381,7 @@ def suzuki_step_cost(q: int, lam: float, h: float, s: int, eps_step: float) -> i
         raise EpsilonTooLargeError(
             f"eps_step={eps_step} exceeds validity limit {limit} "
             f"for the order-{2 * s} Suzuki cost model")
-    count = (3.0 * q * lam * h * s * (25.0 / 3.0) ** s
+    count = (6.0 * lam * h * s * (25.0 / 3.0) ** s
              * (lam * h / eps_step) ** (1.0 / (2 * s)))
     if not math.isfinite(count):
         raise _SuzukiCountOverflow(

@@ -5,8 +5,8 @@ Four subcommands: ``plan`` (steps and exponential count for a budget),
 vs bound on a random dense model) and ``verify-order`` (empirical
 convergence slope).  The dense model of the last two is fully set by
 ``--spins`` and ``--seed``.  Successful runs exit 0; failures print a single
-machine-readable ``error: <Type>: <detail>`` line to stderr and exit 1 (2
-for argument errors, as usual for argparse).
+machine-readable ``error: <Type>: <detail>`` line to stderr and exit 1, a
+bad ``--grid`` included; what argparse itself rejects exits 2 with usage.
 """
 
 from __future__ import annotations
@@ -22,13 +22,18 @@ from . import planner, schemes, spin_model
 def _grid(text: str) -> list[float]:
     """Parse a comma-separated numeric grid; ``a:b:k`` expands to k geometric
     points from a to b, each snapped to an integer within 1e-12 relative."""
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(tok) for tok in text.split(",") if tok]
         lo, hi, num = text.split(":")
-        with np.errstate(invalid="ignore"):  # a bad end fails later, in one error line
-            points = np.geomspace(float(lo), float(hi), int(num))
-        near = np.round(points)  # geomspace misses exact powers by a few ulps
-        return list(np.where(np.isclose(points, near, rtol=1e-12, atol=0), near, points))
-    return [float(tok) for tok in text.split(",") if tok]
+        lo, hi, num = float(lo), float(hi), int(num)
+    except ValueError:
+        raise ValueError("grid must be comma-separated values or lo:hi:count, "
+                         f"got {text!r}") from None
+    with np.errstate(invalid="ignore"):  # a bad end fails later, in one error line
+        points = np.geomspace(lo, hi, num)
+    near = np.round(points)  # geomspace misses exact powers by a few ulps
+    return list(np.where(np.isclose(points, near, rtol=1e-12, atol=0), near, points))
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -59,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="cost sweep over time, error or spins")
     p.add_argument("--axis", required=True, choices=planner.SWEEP_AXES)
-    p.add_argument("--grid", required=True, type=_grid,
+    p.add_argument("--grid", required=True,
                    help="comma-separated values, or lo:hi:count (geometric)")
     p.add_argument("--out", required=True, help="output CSV path")
     _add_common(p, "scheme", "time", "spins", "eps")
@@ -71,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "scheme", "spins", "seed")
 
     p = sub.add_parser("verify-order", help="empirical convergence slope")
-    p.add_argument("--grid", type=_grid, default="0.3:0.7:5",
+    p.add_argument("--grid", default="0.3:0.7:5",
                    help="step sizes to fit over (default %(default)s)")
     p.add_argument("--time", type=float, default=0.0, help="window start t0")
     _add_common(p, "scheme", "spins", "seed")
@@ -104,7 +109,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    planner.sweep(args.axis, args.grid, args.schemes, args.out,
+    planner.sweep(args.axis, _grid(args.grid), args.schemes, args.out,
                   total_time=args.time, epsilon=args.eps, n=args.spins)
     print(f"wrote {args.out}")
     return 0
@@ -129,11 +134,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_verify_order(args) -> int:
     _require(args, "spins")
+    grid = _grid(args.grid)
     model = spin_model.random_model(args.spins, seed=args.seed)
     failed = False
     for scheme_id in args.schemes:
         scheme = schemes.load_scheme(scheme_id)
-        slope = planner.verify_order(scheme, model, args.grid, t0=args.time)
+        slope = planner.verify_order(scheme, model, grid, t0=args.time)
         lo, hi = planner.slope_window(scheme.s)
         ok = lo <= slope <= hi
         print(f"scheme={scheme_id} slope={slope:.4f} "

@@ -123,12 +123,10 @@ def suzuki_exponentials(s: int, lam: float, total_time: float,
     The order-2s Suzuki count for r steps is r * N(h=T/r, eps=epsilon/r);
     both the validity condition and the pre-ceiling count are invariant
     under that substitution, so a single step (r = 1) is optimal and is
-    what gets evaluated.  The blocks of the odd/even splitting are 2-local,
-    hence q = 2.
+    what gets evaluated.
     """
     try:
-        return bounds.suzuki_step_cost(q=2, lam=lam, h=total_time, s=s,
-                                       eps_step=epsilon)
+        return bounds.suzuki_step_cost(lam=lam, h=total_time, s=s, eps_step=epsilon)
     except (EpsilonTooLargeError, _SuzukiCountOverflow):
         return None
 

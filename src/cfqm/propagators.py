@@ -99,9 +99,9 @@ def _expm(generators: np.ndarray, tau: float) -> np.ndarray:
     spectral norm of every symmetric X.  When theta > 1, X is scaled by
     2^-s to theta <= 1 and the result squared s times.  The degree J is
     the smallest with theta^(J+1)/(J+1)! e^theta <= 2^-53, which bounds
-    the truncation error of both series; cos X and sin X = X q(X^2) are
-    evaluated as polynomials in Y = X^2 by Paterson-Stockmeyer.  A
-    non-finite theta raises ValueError.
+    the truncation error of both series, and at least 2 so that both have
+    a block; cos X and sin X = X q(X^2) are evaluated as polynomials in
+    Y = X^2 by Paterson-Stockmeyer.  A non-finite theta raises ValueError.
     """
     x = tau * np.asarray(generators, dtype=float)
     theta = float(np.abs(x).sum(axis=-1).max())
@@ -115,20 +115,19 @@ def _expm(generators: np.ndarray, tau: float) -> np.ndarray:
     while remainder * math.exp(theta) > _UNIT_ROUNDOFF:
         degree += 1
         remainder *= theta / (degree + 1)
-    count, cos_count, firsts, tails = _taylor_plan(degree)
+    count, cos_count, firsts, tails = _taylor_plan(max(degree, 2))
     powers = np.empty((count,) + x.shape)  # Y, Y^2, ..., Y^count
-    if count:
-        np.matmul(x, x, out=powers[0])
+    np.matmul(x, x, out=powers[0])
     for k in range(1, count):
         np.matmul(powers[k - 1], powers[0], out=powers[k])
     # every block of both series in one product, then c_0 on the diagonals
     d = x.shape[-1]
     blocks = (tails @ powers.reshape(count, x.size)).reshape((len(tails),) + x.shape)
     blocks.reshape(len(tails), -1, d * d)[..., ::d + 1] += firsts[:, None, None]
-    step = powers[-1] if count else None  # Y^r wherever a series has two blocks
+    step = powers[-1]  # Y^r wherever a series has two blocks
     out = np.empty(x.shape, dtype=complex)
     out.real = _horner(blocks[:cos_count], step)
-    out.imag = x @ _horner(blocks[cos_count:], step) if len(blocks) > cos_count else 0.0
+    out.imag = x @ _horner(blocks[cos_count:], step)
     for _ in range(squarings):
         out = out @ out
     return out

@@ -167,10 +167,6 @@ class CFQMScheme:
     def is_split(self) -> bool:
         return self.kind == "split"
 
-    @property
-    def order(self) -> int:
-        return 2 * self.s
-
 
 def parse_scheme_text(text: str, *, source: str = "<string>") -> CFQMScheme:
     """Parse a scheme data file.

@@ -34,8 +34,8 @@ are the one construction of the operators: ``sector_generators`` builds
 any batch of them from the cached blocks of C, built from the sector
 states, and the field diagonal; ``hamiltonians_at`` is its unit-exchange
 case over many times and ``sector_coupling_eigh`` the exchange eigenbasis
-per group.  ``dense`` scatters blocks into the 2^n x 2^n matrix; the
-public ``hamiltonian_at`` is that scatter, and no dense C is kept.
+per group.  ``dense`` scatters blocks into the 2^n x 2^n matrix, and no
+dense C is kept.
 
 Dense matrices are capped at n <= 12 spins; the cost planner never builds
 matrices and has no such limit.
@@ -220,15 +220,10 @@ def sector_generators(model: HeisenbergModel, exchange, fields) -> list[np.ndarr
     return out
 
 
-def hamiltonian_at(model: HeisenbergModel, t: float) -> np.ndarray:
-    """Dense H(t), a real symmetric matrix of dimension 2^n."""
-    return dense(model.n, sector_generators(model, 1.0, field_amplitudes(model, t)))
-
-
 def hamiltonians_at(model: HeisenbergModel, times) -> list[np.ndarray]:
     """H(t) over ``times`` as sector blocks: per group of
-    :func:`sector_groups`, one (len(times), g, d_k, d_k) stack, equal to
-    ``hamiltonian_at(model, t)[rows, cols]`` for each time."""
+    :func:`sector_groups`, one (len(times), g, d_k, d_k) stack, the blocks
+    ``H(t)[rows, cols]`` of each time."""
     ts = np.asarray(times, dtype=float).ravel()
     return sector_generators(model, np.ones(ts.size), field_amplitudes(model, ts))
 
@@ -264,7 +259,7 @@ def split_at(model: HeisenbergModel, t: float) -> tuple[np.ndarray, np.ndarray]:
     """The odd/even two-site-block split (H_odd, H_even) at time t.
 
     Each part is the dense embedding of its :func:`local_terms`; the two
-    sum to ``hamiltonian_at(model, t)``.
+    sum to the dense H(t).
     """
     n = model.n
     require_dense(n)

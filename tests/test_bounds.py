@@ -145,6 +145,9 @@ def test_quadrature_remainder_frozen_values():
     # y=[[0,1]], c=1, h=1, s=2: (16/69120) * 768 * 1 = 8/45
     got2 = quadrature_remainder([[0.0, 1.0]], 1.0, 1.0, 2)
     assert got2 == pytest.approx(8.0 / 45.0, rel=1e-12)
+    # a scheme's value at an ordinary step, bit for bit
+    got3 = quadrature_remainder(load_scheme("CF4-2").y, 1.0, 1e-3, 2)
+    assert got3.hex() == "0x1.916c2f88c45c4p-46"
 
 
 def test_quadrature_remainder_linear_in_c_and_rows():
@@ -153,6 +156,20 @@ def test_quadrature_remainder_linear_in_c_and_rows():
     assert quadrature_remainder(y, 2.0, 0.3, 2) == pytest.approx(2 * base, rel=1e-12)
     doubled = quadrature_remainder(np.vstack([y, y]), 1.0, 0.3, 2)
     assert doubled == pytest.approx(2 * base, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-62, 1e-70])
+def test_quadrature_remainder_at_tiny_steps_matches_exact_formula(h):
+    # below h ~ 1.6e-61 the prefactor h**5 is subnormal (1e-62) or 0.0
+    # (1e-70), while the g = 1 weight 1/h keeps the bound near 2.2e-282 at
+    # 1e-70; the formula evaluated in exact rationals is the oracle
+    y = load_scheme("CF4-2").y
+    x = Fraction(h)
+    weights = sum(abs(Fraction(v)) / x ** g for row in y.tolist()
+                  for g, v in enumerate(row))
+    exact = x ** 5 * Fraction(16, 69120) * 24 / (1 - x / 2) ** 5 * weights
+    got = quadrature_remainder(y, 1.0, h, 2)
+    assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_quadrature_remainder_requires_matching_columns():
@@ -185,15 +202,15 @@ def test_trotter_step_error_row_additive():
 
 
 def test_suzuki_step_cost_hand_value():
-    # 3*2*1*1*1*(25/3)*sqrt(2500) = 2500 exactly
-    assert suzuki_step_cost(q=2, lam=1.0, h=1.0, s=1, eps_step=1.0 / 2500.0) == 2500
+    # 6*1*1*1*(25/3)*sqrt(2500) = 2500 exactly
+    assert suzuki_step_cost(lam=1.0, h=1.0, s=1, eps_step=1.0 / 2500.0) == 2500
 
 
 def test_suzuki_step_cost_validity_limit():
     limit = 0.9 * (5.0 / 3.0)  # s=1, lam=h=1
-    assert suzuki_step_cost(2, 1.0, 1.0, 1, limit * 0.999) >= 1
+    assert suzuki_step_cost(1.0, 1.0, 1, limit * 0.999) >= 1
     with pytest.raises(EpsilonTooLargeError):
-        suzuki_step_cost(2, 1.0, 1.0, 1, limit * 1.001)
+        suzuki_step_cost(1.0, 1.0, 1, limit * 1.001)
 
 
 def test_suzuki_step_cost_rejects_an_overflowing_count():
@@ -201,7 +218,7 @@ def test_suzuki_step_cost_rejects_an_overflowing_count():
     # "the cost model is vacuous"
     with pytest.raises(ValueError, match=r"^Suzuki step count overflows at "
                                          r"h=1e\+300, eps_step=0.001$") as err:
-        suzuki_step_cost(2, 1.0, 1e300, 2, 1e-3)
+        suzuki_step_cost(1.0, 1e300, 2, 1e-3)
     assert not isinstance(err.value, EpsilonTooLargeError)
 
 
@@ -327,9 +344,9 @@ NON_FINITE_CALLS = {
     "quadrature c": (lambda x: quadrature_remainder([[1.0, 0.5]], x, 0.1, 2), "c"),
     "quadrature h": (lambda x: quadrature_remainder([[1.0, 0.5]], 1.0, x, 2), "h"),
     "trotter h": (lambda x: trotter_step_error([[1.0, 0.5]], 4, x, 2), "h"),
-    "suzuki lam": (lambda x: suzuki_step_cost(2, x, 1.0, 1, 1e-3), "lam"),
-    "suzuki h": (lambda x: suzuki_step_cost(2, 1.0, x, 1, 1e-3), "h"),
-    "suzuki eps": (lambda x: suzuki_step_cost(2, 1.0, 1.0, 1, x), "eps_step"),
+    "suzuki lam": (lambda x: suzuki_step_cost(x, 1.0, 1, 1e-3), "lam"),
+    "suzuki h": (lambda x: suzuki_step_cost(1.0, x, 1, 1e-3), "h"),
+    "suzuki eps": (lambda x: suzuki_step_cost(1.0, 1.0, 1, x), "eps_step"),
     "model c": (lambda x: ModelBounds(c=x, n=4), "c"),
 }
 
@@ -351,4 +368,4 @@ def test_negative_infinity_keeps_the_positivity_messages(no_series_work):
     with pytest.raises(ValueError, match=r"^c must be positive, got -inf$"):
         ModelBounds(c=-math.inf, n=4)
     with pytest.raises(ValueError, match=r"^lam, h and eps_step must be positive$"):
-        suzuki_step_cost(2, 1.0, -math.inf, 1, 1e-3)
+        suzuki_step_cost(1.0, -math.inf, 1, 1e-3)

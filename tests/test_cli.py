@@ -12,8 +12,9 @@ def test_grid_parser():
     assert cli._grid("0.1,0.2,0.4") == [0.1, 0.2, 0.4]
     assert cli._grid("1:4:3") == pytest.approx([1.0, 2.0, 4.0])
     assert cli._grid("4:64:3") == [4.0, 16.0, 64.0]  # geomspace gives 15.99...
-    with pytest.raises(ValueError):
-        cli._grid("1:4")
+    for bad in ("1:4", "1:4:x", "abc"):
+        with pytest.raises(ValueError, match="comma-separated values or lo:hi:count"):
+            cli._grid(bad)
 
 
 def test_plan_prints_machine_readable_line(capsys):
@@ -176,14 +177,25 @@ def test_geometric_grid_drives_spins_sweep(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")  # numpy's warnings would print before the line
-@pytest.mark.parametrize("grid, detail", [
-    ("1:inf:3", "total_time must be finite, got inf"),
-    ("-1:4:3", "total_time must be positive, got -1.0"),
-])
-def test_bad_geometric_grid_end_reports_one_error_line(tmp_path, capsys, grid, detail):
+@pytest.mark.parametrize("command, grid, detail", [
+    # sweep cases are named by grid and detail alone
+    pytest.param(command, grid, detail,
+                 id="-".join([grid, detail] if command == "sweep" else [command, grid]))
+    for command, grid, detail in [
+        ("sweep", "1:inf:3", "total_time must be finite, got inf"),
+        ("sweep", "-1:4:3", "total_time must be positive, got -1.0"),
+        ("sweep", "0:4:3", "Geometric sequence cannot include zero"),
+        ("sweep", "1:4", "grid must be comma-separated values or lo:hi:count, got '1:4'"),
+        ("verify-order", "0:1:3", "Geometric sequence cannot include zero"),
+    ]])
+def test_bad_geometric_grid_end_reports_one_error_line(tmp_path, capsys, command, grid,
+                                                       detail):
+    # the grid is parsed by the subcommand, not by argparse, so a grid that
+    # numpy or the parser rejects leaves through the one error line (exit 1)
     out = tmp_path / "x.csv"
-    rc = cli.main(["sweep", "--axis", "time", f"--grid={grid}", "--eps", "1e-3",
-                   "--spins", "4", "--scheme", "CF2-1", "--out", str(out)])
+    args = (["--axis", "time", "--eps", "1e-3", "--spins", "4", "--out", str(out)]
+            if command == "sweep" else ["--spins", "2"])
+    rc = cli.main([command, f"--grid={grid}", "--scheme", "CF2-1"] + args)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
@@ -239,6 +251,28 @@ def test_overflowing_inputs_report_one_error_line(tmp_path, capsys, command):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ValueError: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme_id, total_time, eps, r", [
+    ("CF4-2", "5e-324", "1e-3", 1),
+    ("CF4-2", "1e-300", "1e-3", 1),
+    ("GS10-6", "5e-324", "1e-3", 1),
+    ("CF2-1", "1e-300", "5e-324", 1),
+    ("CF6-5", "1e-320", "1e-3", 1),
+    ("CF4-2", "1e-70", "1e-300", 1304956),
+])
+def test_tiny_total_times_plan(capsys, scheme_id, total_time, eps, r):
+    # tails that underflow stop, and the quadrature term keeps its 1/h**g
+    # weights when h**(2s+1) underflows; these used to report that the
+    # series diverge everywhere, end in a traceback or plan r = 1 unsoundly
+    rc = cli.main(["plan", "--scheme", scheme_id, "--time", total_time,
+                   "--spins", "2", "--eps", eps])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    fields = dict(tok.split("=", 1) for tok in captured.out.split())
+    assert int(fields["r"]) == r
+    if r > 1:
+        assert fields["quadrature"] == "7.663092e-307"
 
 
 def test_sweep_keeps_rows_around_an_overflowing_suzuki_count(tmp_path, capsys):

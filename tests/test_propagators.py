@@ -27,6 +27,7 @@ from oracles import (
     dense_reference_propagator,
     dense_trotterized_step,
     expm_antihermitian,
+    kron_generators,
     per_factor_split_step,
 )
 
@@ -67,7 +68,8 @@ def test_expm_matches_eigh_oracle(d, theta):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_expm_rejects_non_finite_exponents(bad):
-    h = spin_model.hamiltonian_at(random_model(2, seed=1), 0.3)
+    model = random_model(2, seed=1)
+    h = kron_generators(model, 1.0, spin_model.field_amplitudes(model, 0.3))
     poisoned = h.copy()
     poisoned[1, 2] = poisoned[2, 1] = bad
     with pytest.raises(ValueError, match="exponent norm must be finite"):
@@ -192,8 +194,9 @@ def test_reference_memoizes_and_midpoint_product_composes():
     assert r1 is r2
     # two midpoint micro-steps compose right-to-left
     u = midpoint_dense(model, 0.1, 0.5, 2)
-    h_at = spin_model.hamiltonian_at
-    want = _expm(h_at(model, 0.4), 0.2) @ _expm(h_at(model, 0.2), 0.2)
+    h_mid = kron_generators(model, [1.0, 1.0],
+                            spin_model.field_amplitudes(model, [0.4, 0.2]))
+    want = _expm(h_mid[0], 0.2) @ _expm(h_mid[1], 0.2)
     assert u == pytest.approx(want, abs=1e-14)
 
 

@@ -133,7 +133,6 @@ def test_all_bundled_schemes_load_and_validate():
     for scheme_id in SCHEME_IDS:
         scheme = load_scheme(scheme_id)
         assert scheme.scheme_id == scheme_id
-        assert scheme.order == 2 * scheme.s
         if scheme.is_split:
             assert scheme.rho.shape == (scheme.m, scheme.s)
             assert np.all(scheme.sigma[-1] == 0.0)

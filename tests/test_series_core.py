@@ -131,9 +131,21 @@ def test_sum_tail_geometric():
 
 def test_sum_tail_rejects_divergence_and_negatives():
     with pytest.raises(DivergentRegimeError):
-        sum_tail(lambda p: 1.1 ** p, 2, 1e-10, hard_cap=120)
+        sum_tail(lambda p: 1.1 ** p, 2, 1e-10)
     with pytest.raises(ValueError):
         sum_tail(lambda p: -1.0, 1, 1e-10)
+
+
+def test_sum_tail_stops_on_an_underflowed_tail():
+    # terms of exactly 0.0 count as decreasing, so a tail that underflows
+    # stops after three orders instead of running into the order cap
+    terms = []
+    assert sum_tail(lambda p: terms.append(p) or 0.0, 3, 1e-6) == 0.0
+    assert terms == [3, 4, 5]
+    # a run of inf terms (the product term's overflow sentinel) never
+    # decreases, so it still reports a divergent regime
+    with pytest.raises(DivergentRegimeError):
+        sum_tail(lambda p: math.inf, 3, 1e-6)
 
 
 @pytest.mark.parametrize("rel_tol", [math.nan, -1.0, -1e-300, 1.0, 10.0, math.inf])

@@ -13,7 +13,6 @@ from cfqm import spin_model
 from cfqm.spin_model import (
     HeisenbergModel,
     field_diagonal,
-    hamiltonian_at,
     hamiltonians_at,
     random_model,
     split_at,
@@ -21,9 +20,19 @@ from cfqm.spin_model import (
 from oracles import kron_coupling, kron_generators
 
 
+def dense_h(model, t):
+    """H(t) from the Kronecker-product build of the oracles."""
+    return kron_generators(model, 1.0, spin_model.field_amplitudes(model, t))
+
+
+def dense_blocks_h(model, t):
+    """H(t) scattered from the module's own sector blocks."""
+    return spin_model.dense(model.n, [b[0] for b in hamiltonians_at(model, [t])])
+
+
 def test_dimensions_and_hermiticity():
     model = random_model(3, seed=1)
-    h = hamiltonian_at(model, 0.7)
+    h = dense_h(model, 0.7)
     assert h.shape == (8, 8)
     assert np.allclose(h, h.conj().T)
 
@@ -34,7 +43,7 @@ def test_operator_norm_stays_normalized():
     for n in (2, 3, 5):
         model = random_model(n, seed=n)
         for t in (0.0, 1.3, 7.9):
-            h = hamiltonian_at(model, t)
+            h = dense_h(model, t)
             assert np.linalg.norm(h, ord=2) <= 1.0 + 1e-12
 
 
@@ -52,8 +61,7 @@ def test_split_parts_sum_to_hamiltonian():
         model = random_model(n, seed=10 + n)
         for t in (0.0, 2.1):
             h_odd, h_even = split_at(model, t)
-            assert h_odd + h_even == pytest.approx(hamiltonian_at(model, t),
-                                                   abs=1e-15)
+            assert h_odd + h_even == pytest.approx(dense_h(model, t), abs=1e-15)
 
 
 def test_split_parts_are_disjoint_blocks():
@@ -87,7 +95,7 @@ def test_hamiltonians_at_batches_match_single_calls():
     for stack, (rows, cols) in zip(stacks, groups):
         assert stack.shape == (len(times),) + np.broadcast_shapes(rows.shape, cols.shape)
         for k, t in enumerate(times):
-            assert stack[k] == pytest.approx(hamiltonian_at(model, t)[rows, cols],
+            assert stack[k] == pytest.approx(dense_h(model, t)[rows, cols],
                                              rel=0.0, abs=1e-15)
 
 
@@ -108,7 +116,7 @@ def test_model_validation():
     # the model itself is legal at any size; only dense matrices are capped
     big = random_model(spin_model.MAX_DENSE_SPINS + 1, seed=0)
     with pytest.raises(ValueError):
-        spin_model.hamiltonian_at(big, 0.0)
+        dense_blocks_h(big, 0.0)
 
 
 @given(st.integers(2, 6), st.integers(0, 2 ** 16))
@@ -119,10 +127,10 @@ def test_split_covers_every_field_site(n, seed):
     model = random_model(n, seed=seed)
     t = 0.37
     h_odd, h_even = split_at(model, t)
-    assert h_odd + h_even == pytest.approx(hamiltonian_at(model, t), abs=1e-15)
+    h = dense_h(model, t)
+    assert h_odd + h_even == pytest.approx(h, abs=1e-15)
     # and the parts must not double-count: diagonals add up exactly
-    assert np.diag(h_odd) + np.diag(h_even) == pytest.approx(
-        np.diag(hamiltonian_at(model, t)), abs=1e-15)
+    assert np.diag(h_odd) + np.diag(h_even) == pytest.approx(np.diag(h), abs=1e-15)
 
 
 def test_coupling_matrix_cache_is_write_protected():
@@ -152,7 +160,7 @@ def test_split_is_the_dense_embedding_of_local_terms():
         h_odd, h_even = split_at(model, t)
         assert np.array_equal(h_odd, parts[0])
         assert np.array_equal(h_even, parts[1])
-        assert h_odd + h_even == pytest.approx(hamiltonian_at(model, t), abs=1e-15)
+        assert h_odd + h_even == pytest.approx(dense_h(model, t), abs=1e-15)
 
 
 
@@ -203,14 +211,13 @@ def test_sector_coupling_equals_the_gathered_dense_exchange():
             assert np.array_equal(block, want[rows, cols])
             assert not block.flags.writeable
         for t in (0.0, 2.7):
-            h = hamiltonian_at(model, t)
+            h = dense_blocks_h(model, t)
             assert h.dtype == np.float64
-            assert np.array_equal(h, kron_generators(
-                model, 1.0, spin_model.field_amplitudes(model, t)))
+            assert np.array_equal(h, dense_h(model, t))
 
 
 def test_dense_matrices_leave_no_dense_cache():
-    # hamiltonian_at and the dense exchange part scatter the cached sector
+    # a dense H(t) and the dense exchange part scatter the cached sector
     # blocks (1.5 MB at n = 10); a cached dense C would hold another 8 MB.
     # Every cache of the module starts empty, so what the calls keep is traced
     for cached in vars(spin_model).values():
@@ -220,7 +227,7 @@ def test_dense_matrices_leave_no_dense_cache():
     gc.collect()
     tracemalloc.start()
     try:
-        spin_model.hamiltonian_at(model, 0.4)
+        dense_blocks_h(model, 0.4)
         spin_model.dense(model.n, spin_model._sector_coupling(model.n))
         gc.collect()
         retained, _ = tracemalloc.get_traced_memory()
@@ -234,7 +241,7 @@ def test_hamiltonian_is_block_diagonal_over_sectors():
     # hold every nonzero, and sector_generators gathers exactly those blocks
     for n in range(2, 8):
         model = random_model(n, seed=70 + n)
-        h = hamiltonian_at(model, 0.6)
+        h = dense_h(model, 0.6)
         blocks = spin_model.sector_generators(
             model, 1.0, spin_model.field_amplitudes(model, 0.6))
         rebuilt = np.zeros_like(h)
