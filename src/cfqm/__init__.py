@@ -7,10 +7,17 @@ from .bounds import (
     magnus_remainder,
     quadrature_remainder,
     step_error,
-    suzuki_step_cost,
     trotter_step_error,
 )
-from .planner import ModelBounds, Plan, plan, sweep, validate, verify_order
+from .planner import (
+    ModelBounds,
+    Plan,
+    plan,
+    suzuki_exponentials,
+    sweep,
+    validate,
+    verify_order,
+)
 from .propagators import (
     cfqm_step,
     reference_propagator,
@@ -55,7 +62,7 @@ __all__ = [
     "split_at",
     "split_step",
     "step_error",
-    "suzuki_step_cost",
+    "suzuki_exponentials",
     "sweep",
     "trotter_step_error",
     "trotterized_cfqm_step",

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentRegimeError, EpsilonTooLargeError, require_finite
+from .errors import DivergentRegimeError, require_finite
 from .series_core import sum_tail
 
 
@@ -252,11 +252,6 @@ def _trotter_stage_sum(s: int) -> int:
                for k in range(1, 2 * 5 ** (s - 1) + 1))
 
 
-def _trotter_stage_constant(n: int, s: int) -> float:
-    """n * K(s), in exact integer arithmetic before the float conversion."""
-    return float(n * _trotter_stage_sum(s))
-
-
 def trotter_step_error(z, n: int, h: float, s: int) -> float:
     """Bound on replacing each CFQM exponential by the (2s)-th order
     canonical product formula over the odd/even two-site blocks.
@@ -277,7 +272,8 @@ def trotter_step_error(z, n: int, h: float, s: int) -> float:
         raise ValueError(f"s must be >= 1, got {s}")
     require_finite(h=h)
     zmat = np.atleast_2d(np.asarray(z, dtype=float))
-    const = _trotter_stage_constant(n, s)
+    # n * K(s) in exact integers, then one rounding to float
+    const = float(n * _trotter_stage_sum(s))
     fact = math.factorial(2 * s + 1)
     total = 0.0
     for row in np.abs(zmat).tolist():
@@ -289,7 +285,7 @@ def trotter_step_error(z, n: int, h: float, s: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-step assembly and the Suzuki yardstick
+# Per-step assembly
 # ---------------------------------------------------------------------------
 
 
@@ -354,36 +350,3 @@ def step_error(scheme, params: BoundParams, rel_tol: float = 1e-6) -> ErrorBreak
         quad = quadrature_remainder(scheme.y, params.c, params.h, params.s)
         trotter = trotter_step_error(scheme.z, params.n, params.h, params.s)
     return ErrorBreakdown(magnus, cfqm, quad, trotter)
-
-
-class _SuzukiCountOverflow(ValueError):
-    """A Suzuki count beyond float range; the planner records no count."""
-
-
-def suzuki_step_cost(lam: float, h: float, s: int, eps_step: float) -> int:
-    """Exponential count for one Suzuki step of order 2s on a 2-local
-    Hamiltonian with interaction strength lam, meeting per-step error
-    eps_step.  The odd/even blocks of the chain's split are 2-local, so
-    the locality factor q of the cost model is 2 and 3 q is 6:
-
-    N = ceil(6 lam h s (25/3)**s (lam h / eps_step)**(1/(2s))),
-    valid for eps_step <= (9/10) (5/3)**s lam h; larger targets raise
-    :class:`EpsilonTooLargeError` (the cost model is vacuous there), and a
-    count that overflows a float raises ValueError.
-    """
-    if lam <= 0 or h <= 0 or eps_step <= 0:
-        raise ValueError("lam, h and eps_step must be positive")
-    if s < 1:
-        raise ValueError(f"s must be >= 1, got {s}")
-    require_finite(lam=lam, h=h, eps_step=eps_step)
-    limit = 0.9 * (5.0 / 3.0) ** s * lam * h
-    if eps_step > limit:
-        raise EpsilonTooLargeError(
-            f"eps_step={eps_step} exceeds validity limit {limit} "
-            f"for the order-{2 * s} Suzuki cost model")
-    count = (6.0 * lam * h * s * (25.0 / 3.0) ** s
-             * (lam * h / eps_step) ** (1.0 / (2 * s)))
-    if not math.isfinite(count):
-        raise _SuzukiCountOverflow(
-            f"Suzuki step count overflows at h={h}, eps_step={eps_step}")
-    return math.ceil(count)

@@ -20,10 +20,6 @@ class DivergentRegimeError(ValueError):
     """A remainder series is evaluated outside its radius of convergence."""
 
 
-class EpsilonTooLargeError(ValueError):
-    """Requested per-step tolerance violates a cost formula's validity range."""
-
-
 class SchemeLookupError(KeyError):
     """Unknown scheme identifier."""
 

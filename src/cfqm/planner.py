@@ -16,7 +16,9 @@ exponentials (m exponentials, each expanded into the 2*5**(s-1)-stage
 canonical product formula with one odd-block and one even-block factor per
 stage), a split CFQM step costs 2*m (one exchange and one field factor per
 stage, structurally empty factors still occupy their slot), and the Suzuki
-yardstick is the count returned by :func:`cfqm.bounds.suzuki_step_cost`.
+yardstick is the count of :func:`suzuki_exponentials`, which lives here
+with every other cost and never reads below one order-2s product-formula
+step, 2 * (2 * 5**(s-1)) exponentials.
 The propagators merge adjacent same-block factors of the product formula
 (C B C | C B C -> C B 2C B C, see
 :func:`cfqm.propagators.product_formula_factors`), but the accounted cost
@@ -33,11 +35,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds, propagators, schemes, spin_model
-from .bounds import BoundParams, ErrorBreakdown, _SuzukiCountOverflow
+from .bounds import BoundParams, ErrorBreakdown
 from .errors import (
     AsymptoticRegimeError,
     DivergentRegimeError,
-    EpsilonTooLargeError,
     GridTooFineError,
     InfeasiblePlanError,
     ReferenceConvergenceError,
@@ -101,12 +102,17 @@ class Plan:
         return self.r * self.breakdown.total
 
 
+def _product_formula_exponentials(s: int) -> int:
+    """Exponentials of one order-2s canonical product formula step over the
+    odd/even blocks: one odd- and one even-block factor per stage."""
+    return 2 * (2 * 5 ** (s - 1))
+
+
 def step_exponentials(scheme) -> int:
     """Fast-forwardable exponentials one step of ``scheme`` costs."""
     if scheme.is_split:
         return 2 * scheme.m
-    stages = 2 * 5 ** (scheme.s - 1)
-    return scheme.m * 2 * stages
+    return scheme.m * _product_formula_exponentials(scheme.s)
 
 
 def _breakdown_at(scheme, model_bounds: ModelBounds, cbar: float,
@@ -120,15 +126,31 @@ def suzuki_exponentials(s: int, lam: float, total_time: float,
                         epsilon: float) -> int | None:
     """Suzuki cost on the same budget, or None when vacuous or overflowing.
 
-    The order-2s Suzuki count for r steps is r * N(h=T/r, eps=epsilon/r);
-    both the validity condition and the pre-ceiling count are invariant
-    under that substitution, so a single step (r = 1) is optimal and is
-    what gets evaluated.
+    One order-2s Suzuki step of size h on a 2-local Hamiltonian with
+    interaction strength lam, meeting error eps, costs
+
+        N = ceil(6 lam h s (25/3)**s (lam h / eps)**(1/(2s)))
+
+    exponentials (the odd/even blocks of the chain's split are 2-local, so
+    the locality factor q of the cost model is 2 and 3 q is 6), valid for
+    eps <= (9/10) (5/3)**s lam h; the model is vacuous beyond that.  The
+    count for r steps is r * N(h=T/r, eps=epsilon/r); both the validity
+    condition and the pre-ceiling count are invariant under that
+    substitution, so a single step (r = 1) is optimal and is what gets
+    evaluated.  No count is below that one step's product formula.
     """
-    try:
-        return bounds.suzuki_step_cost(lam=lam, h=total_time, s=s, eps_step=epsilon)
-    except (EpsilonTooLargeError, _SuzukiCountOverflow):
+    if lam <= 0 or total_time <= 0 or epsilon <= 0:
+        raise ValueError("lam, total_time and epsilon must be positive")
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    require_finite(lam=lam, total_time=total_time, epsilon=epsilon)
+    if epsilon > 0.9 * (5.0 / 3.0) ** s * lam * total_time:
         return None
+    count = (6.0 * lam * total_time * s * (25.0 / 3.0) ** s
+             * (lam * total_time / epsilon) ** (1.0 / (2 * s)))
+    if not math.isfinite(count):
+        return None
+    return max(math.ceil(count), _product_formula_exponentials(s))
 
 
 def plan(scheme, model_bounds: ModelBounds, total_time: float,
@@ -329,8 +351,6 @@ class ValidationRow:
 @dataclass(frozen=True)
 class ValidationReport:
     scheme_id: str
-    n: int
-    seed: int
     rows: tuple[ValidationRow, ...]
 
     @property
@@ -384,7 +404,7 @@ def validate(scheme_ids, seed: int, n: int, samples: int,
                 continue
             status = "ok" if measured <= bd.total else "violated"
             rows.append(ValidationRow(t0, h, measured, bd.total, status))
-        reports.append(ValidationReport(scheme.scheme_id, n, seed, tuple(rows)))
+        reports.append(ValidationReport(scheme.scheme_id, tuple(rows)))
     _write_csv(out, VALIDATE_COLUMNS,
                ([report.scheme_id, row.t0, row.h, row.measured, row.bound,
                  row.ratio, row.status]

@@ -5,7 +5,8 @@ are checked here against the composition DP and exact Fraction series of
 ``oracles``, which share no recurrence with the closed forms in ``bounds``.
 The cached product inner sums are checked with ``==`` against the
 uncached term of ``oracles``, and every bound must reject non-finite
-inputs before any series work.
+inputs before any series work, as must the planner's Suzuki yardstick,
+whose cost formula is checked here too.
 """
 
 import math
@@ -21,11 +22,10 @@ from cfqm.bounds import (
     magnus_remainder,
     quadrature_remainder,
     step_error,
-    suzuki_step_cost,
     trotter_step_error,
 )
-from cfqm.errors import DivergentRegimeError, EpsilonTooLargeError
-from cfqm.planner import ModelBounds
+from cfqm.errors import DivergentRegimeError
+from cfqm.planner import ModelBounds, suzuki_exponentials
 from cfqm.schemes import SCHEME_IDS, compute_cbar, load_scheme
 from oracles import (
     PowerSeries,
@@ -180,9 +180,11 @@ def test_quadrature_remainder_requires_matching_columns():
 
 
 def test_trotter_stage_constants_frozen():
-    assert bounds._trotter_stage_constant(1, 1) == 3632.0
-    assert bounds._trotter_stage_constant(1, 2) == 11246376945408.0
-    assert bounds._trotter_stage_constant(3, 1) == 3 * 3632.0
+    assert bounds._trotter_stage_sum(1) == 3632
+    assert bounds._trotter_stage_sum(2) == 11246376945408
+    # Z_i = 1 and h = 1 leave n * K(s) / (2s+1)!
+    assert trotter_step_error([[12.0]], 3, 1.0, 1) == 3 * 3632.0 / 6
+    assert trotter_step_error([[8.0]], 2, 1.0, 2) == 2 * 11246376945408.0 / 120
 
 
 def test_trotter_step_error_n_scaling():
@@ -203,23 +205,23 @@ def test_trotter_step_error_row_additive():
 
 def test_suzuki_step_cost_hand_value():
     # 6*1*1*1*(25/3)*sqrt(2500) = 2500 exactly
-    assert suzuki_step_cost(lam=1.0, h=1.0, s=1, eps_step=1.0 / 2500.0) == 2500
+    assert suzuki_exponentials(s=1, lam=1.0, total_time=1.0,
+                               epsilon=1.0 / 2500.0) == 2500
 
 
 def test_suzuki_step_cost_validity_limit():
-    limit = 0.9 * (5.0 / 3.0)  # s=1, lam=h=1
-    assert suzuki_step_cost(1.0, 1.0, 1, limit * 0.999) >= 1
-    with pytest.raises(EpsilonTooLargeError):
-        suzuki_step_cost(1.0, 1.0, 1, limit * 1.001)
+    # order-2 validity needs eps <= 0.9 * (5/3) * lam * T; beyond it the
+    # cost model is vacuous and there is no count
+    limit = 0.9 * (5.0 / 3.0)  # s=1, lam=T=1
+    assert suzuki_exponentials(1, 1.0, 1.0, limit * 0.999) == 41
+    assert suzuki_exponentials(1, 1.0, 1.0, limit * 1.001) is None
+    assert suzuki_exponentials(1, 1.0, 0.1, 1.0) is None
+    assert suzuki_exponentials(1, 1.0, 0.1, 0.1) is not None
 
 
 def test_suzuki_step_cost_rejects_an_overflowing_count():
-    # a ValueError, not EpsilonTooLargeError, which the planner reads as
-    # "the cost model is vacuous"
-    with pytest.raises(ValueError, match=r"^Suzuki step count overflows at "
-                                         r"h=1e\+300, eps_step=0.001$") as err:
-        suzuki_step_cost(1.0, 1e300, 2, 1e-3)
-    assert not isinstance(err.value, EpsilonTooLargeError)
+    # the count overflows a float, so the planner records none
+    assert suzuki_exponentials(2, 1.0, 1e300, 1e-3) is None
 
 
 def test_step_error_assembly_non_split():
@@ -344,9 +346,9 @@ NON_FINITE_CALLS = {
     "quadrature c": (lambda x: quadrature_remainder([[1.0, 0.5]], x, 0.1, 2), "c"),
     "quadrature h": (lambda x: quadrature_remainder([[1.0, 0.5]], 1.0, x, 2), "h"),
     "trotter h": (lambda x: trotter_step_error([[1.0, 0.5]], 4, x, 2), "h"),
-    "suzuki lam": (lambda x: suzuki_step_cost(x, 1.0, 1, 1e-3), "lam"),
-    "suzuki h": (lambda x: suzuki_step_cost(1.0, x, 1, 1e-3), "h"),
-    "suzuki eps": (lambda x: suzuki_step_cost(1.0, 1.0, 1, x), "eps_step"),
+    "suzuki lam": (lambda x: suzuki_exponentials(1, x, 1.0, 1e-3), "lam"),
+    "suzuki h": (lambda x: suzuki_exponentials(1, 1.0, x, 1e-3), "total_time"),
+    "suzuki eps": (lambda x: suzuki_exponentials(1, 1.0, 1.0, x), "epsilon"),
     "model c": (lambda x: ModelBounds(c=x, n=4), "c"),
 }
 
@@ -367,5 +369,6 @@ def test_negative_infinity_keeps_the_positivity_messages(no_series_work):
         cfqm_remainder(1.0, -math.inf, 2, 2)
     with pytest.raises(ValueError, match=r"^c must be positive, got -inf$"):
         ModelBounds(c=-math.inf, n=4)
-    with pytest.raises(ValueError, match=r"^lam, h and eps_step must be positive$"):
-        suzuki_step_cost(1.0, -math.inf, 1, 1e-3)
+    with pytest.raises(ValueError,
+                       match=r"^lam, total_time and epsilon must be positive$"):
+        suzuki_exponentials(1, 1.0, -math.inf, 1e-3)

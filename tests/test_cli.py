@@ -253,6 +253,11 @@ def test_overflowing_inputs_report_one_error_line(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# the Suzuki counts of the plans below: vacuous (eps beyond the model's
+# validity) or floored at one product-formula step, 2 * (2 * 5**(s-1))
+TINY_TIME_SUZUKI = {("CF2-1", "1e-300"): "4", ("CF4-2", "1e-70"): "20"}
+
+
 @pytest.mark.parametrize("scheme_id, total_time, eps, r", [
     ("CF4-2", "5e-324", "1e-3", 1),
     ("CF4-2", "1e-300", "1e-3", 1),
@@ -271,6 +276,8 @@ def test_tiny_total_times_plan(capsys, scheme_id, total_time, eps, r):
     assert rc == 0, captured.err
     fields = dict(tok.split("=", 1) for tok in captured.out.split())
     assert int(fields["r"]) == r
+    assert fields["suzuki_exponentials"] == TINY_TIME_SUZUKI.get(
+        (scheme_id, total_time), "None")
     if r > 1:
         assert fields["quadrature"] == "7.663092e-307"
 

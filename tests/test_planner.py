@@ -135,10 +135,11 @@ def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
     assert seen == [total_time / r for r in probes]
 
 
-def test_suzuki_yardstick_vacuous_when_budget_exceeds_validity():
-    # order-2 validity needs eps <= 0.9 * (5/3) * lam * T
-    assert planner.suzuki_exponentials(1, 1.0, 0.1, 1.0) is None
-    assert planner.suzuki_exponentials(1, 1.0, 0.1, 0.1) is not None
+def test_suzuki_yardstick_is_floored_at_one_product_formula_step():
+    # at a tiny T the pre-ceiling count is below one order-2s step, which
+    # still applies 2 * (2 * 5**(s-1)) exponentials
+    for s, one_step in ((1, 4), (2, 20), (3, 100)):
+        assert planner.suzuki_exponentials(s, 1.0, 1e-30, 1e-31) == one_step
 
 
 def test_sweep_writes_deterministic_csv(tmp_path):
@@ -211,10 +212,10 @@ def test_validate_input_validation(tmp_path):
 def test_validation_report_flags_ratio_above_one():
     row = planner.ValidationRow(t0=0.0, h=0.1, measured=2.0, bound=1.0,
                                 status="violated")
-    report = planner.ValidationReport("CF2-1", 2, 0, (row,))
+    report = planner.ValidationReport("CF2-1", (row,))
     assert not report.ok
     assert report.max_ratio == pytest.approx(2.0)
-    assert math.isnan(planner.ValidationReport("CF2-1", 2, 0, ()).max_ratio)
+    assert math.isnan(planner.ValidationReport("CF2-1", ()).max_ratio)
 
 
 def test_plan_rejects_non_finite_inputs():
