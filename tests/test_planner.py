@@ -135,6 +135,12 @@ def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
     assert seen == [total_time / r for r in probes]
 
 
+def test_suzuki_yardstick_vacuous_when_budget_exceeds_validity():
+    # order-2 validity needs eps <= 0.9 * (5/3) * lam * T
+    assert planner.suzuki_exponentials(1, 1.0, 0.1, 1.0) is None
+    assert planner.suzuki_exponentials(1, 1.0, 0.1, 0.1) is not None
+
+
 def test_suzuki_yardstick_is_floored_at_one_product_formula_step():
     # at a tiny T the pre-ceiling count is below one order-2s step, which
     # still applies 2 * (2 * 5**(s-1)) exponentials
