@@ -1,8 +1,11 @@
-"""Golden outputs: pinned sweeps and the README's command examples.
+"""Golden outputs: pinned sweeps, random plans and the README's examples.
 
 The sweep CSVs under ``tests/data/`` pin every plan the bounds produce on
 a fixed grid, byte for byte, so a refactor of the bound evaluation cannot
-move a single float.  The README test runs the documented ``cfqm plan``
+move a single float.  ``plans_random.csv`` does the same for seeded
+random (scheme, T, eps, n) points off that grid, from tiny total times,
+where the quadrature term takes its underflow branch, to budgets no step
+count meets, whose rows carry the planner's error line.  The README test runs the documented ``cfqm plan``
 command and compares its output with the README's code block, so the
 published numbers cannot go stale, and runs every other command of the
 README's command-line block, so the examples stay runnable.  The README's
@@ -31,10 +34,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cfqm import cli, planner
-from cfqm.schemes import SCHEME_IDS
+from cfqm.errors import InfeasiblePlanError
+from cfqm.schemes import SCHEME_IDS, load_scheme
+from cfqm.spin_model import TAYLOR_BOUND_C
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -66,6 +72,58 @@ def test_pinned_sweep_matches_golden_csv(axis, tmp_path):
     out = tmp_path / f"{axis}.csv"
     _run_sweep(axis, out)
     assert out.read_bytes() == _golden_path(axis).read_bytes()
+
+
+RANDOM_PLANS_GOLDEN = DATA / "plans_random.csv"
+RANDOM_PLANS_SEED = 20241025
+RANDOM_PLANS_COLUMNS = (
+    "scheme_id", "total_time", "epsilon", "n", "r", "exponentials",
+    "suzuki_exponentials", "magnus_taylor", "cfqm_taylor", "quadrature",
+    "trotter", "status",
+)
+
+
+def _random_plan_points() -> list[tuple[str, float, float, int]]:
+    """600 seeded (scheme, T, eps, n) points: 540 with T in 1e-2..3e10 and
+    eps in 1e-16..1, and 60 with T in 1e-80..1e-40 and eps in 1e-300..1e-3;
+    n is log-uniform in 2..1e6 throughout."""
+    rng = np.random.default_rng(RANDOM_PLANS_SEED)
+    points = []
+    for k in range(600):
+        scheme_id = SCHEME_IDS[int(rng.integers(len(SCHEME_IDS)))]
+        if k % 10 == 9:
+            log_t, log_eps = rng.uniform(-80.0, -40.0), rng.uniform(-300.0, -3.0)
+        else:
+            log_t, log_eps = rng.uniform(-2.0, 10.5), rng.uniform(-16.0, 0.0)
+        n = int(round(10.0 ** rng.uniform(math.log10(2.0), 6.0)))
+        points.append((scheme_id, 10.0 ** log_t, 10.0 ** log_eps, n))
+    return points
+
+
+def _run_random_plans(out: Path) -> None:
+    """Plan every random point and write one row each: the plan's step
+    count, costs and bound terms, or the error line of an infeasible one."""
+    records = []
+    for scheme_id, total_time, epsilon, n in _random_plan_points():
+        model_bounds = planner.ModelBounds(c=TAYLOR_BOUND_C, n=n)
+        head = [scheme_id, total_time, epsilon, n]
+        try:
+            p = planner.plan(load_scheme(scheme_id), model_bounds, total_time,
+                             epsilon)
+        except InfeasiblePlanError as exc:
+            records.append(head + [None] * 7 + [str(exc)])
+            continue
+        bd = p.breakdown
+        records.append(head + [p.r, p.exponentials, p.suzuki_exponentials,
+                               bd.magnus_taylor, bd.cfqm_taylor, bd.quadrature,
+                               bd.trotter, "ok"])
+    planner._write_csv(out, RANDOM_PLANS_COLUMNS, records)
+
+
+def test_random_plans_match_golden_csv(tmp_path):
+    out = tmp_path / "plans.csv"
+    _run_random_plans(out)
+    assert out.read_bytes() == RANDOM_PLANS_GOLDEN.read_bytes()
 
 
 def _readme_plan_example() -> tuple[list[str], str]:
@@ -192,6 +250,8 @@ if __name__ == "__main__":
     for axis in PINNED_SWEEPS:
         _run_sweep(axis, _golden_path(axis))
         print(f"wrote {_golden_path(axis)}", file=sys.stderr)
+    _run_random_plans(RANDOM_PLANS_GOLDEN)
+    print(f"wrote {RANDOM_PLANS_GOLDEN}", file=sys.stderr)
     old_rows = _read_rows(VALIDATE_GOLDEN) if VALIDATE_GOLDEN.exists() else []
     _run_readme_validate(VALIDATE_GOLDEN)
     print(_validate_diff(old_rows, _read_rows(VALIDATE_GOLDEN)), file=sys.stderr)
