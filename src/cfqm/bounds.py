@@ -19,13 +19,16 @@ terms have decreased three orders in a row.  Step sizes outside a bound's
 convergence region raise :class:`~cfqm.errors.DivergentRegimeError` rather
 than returning a number that means nothing.
 
-Each bound is evaluated by its closed form alone; the identities behind
-the closed forms are pinned by the test suite against independent oracles.
-The h-independent coefficients of the two series are cached per constant
-(G_p per c, the product inner sums per cbar * m) and extended on demand by
-the same float loops, so a bound's value does not depend on what ran
-before it, bit for bit.  Non-finite inputs raise ValueError before any
-series work.
+Each bound is evaluated by its closed form alone, in one private kernel
+that the public term function and :func:`step_error` share; the
+identities behind the closed forms are pinned by the test suite against
+independent oracles.  :func:`step_error` checks its params once, so a
+planner attempt does only the work that depends on h: the coefficients
+of the two series are cached per constant (G_p per c, the product inner
+sums per cbar * m) and extended on demand by the same float loops, the
+factorials per s and the scheme's |y| rows and |z| row sums per scheme.
+A bound's value does not depend on what ran before it, bit for bit.
+Non-finite inputs raise ValueError before any series work.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergentRegimeError, require_finite
+from .errors import DivergentRegimeError, require_finite, require_positive
 from .series_core import sum_tail
 
 
@@ -89,13 +92,14 @@ def magnus_remainder(c: float, h: float, s: int, rel_tol: float = 1e-6) -> float
     remainder is sum_{p >= 2s+1} G_p (h/2)**p with the G_p from the
     generating function 1/(1 + 2c ln(1-x)).
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    require_positive(c=c, h=h)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     require_finite(c=c, h=h)
+    return _magnus_tail(c, h, s, rel_tol)
+
+
+def _magnus_tail(c: float, h: float, s: int, rel_tol: float) -> float:
     if h >= 2.0 or 2.0 * c * (-math.log1p(-h / 2.0)) >= 1.0:
         raise DivergentRegimeError(
             f"Magnus remainder series diverges at h={h}, c={c}: "
@@ -165,19 +169,20 @@ def cfqm_remainder(cbar: float, h: float, s: int, m: int,
     single-exponential scheme reproduces exp(Omega^[2]) identically, so
     the remainder is 0.
     """
-    if cbar <= 0:
-        raise ValueError(f"cbar must be positive, got {cbar}")
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    require_positive(cbar=cbar, h=h)
     if s < 1 or m < 1:
         raise ValueError(f"s and m must be >= 1, got s={s}, m={m}")
     require_finite(cbar=cbar, h=h)
+    return _product_tail(cbar * m, h, s, rel_tol)
+
+
+def _product_tail(u: float, h: float, s: int, rel_tol: float) -> float:
     if s == 1:
         return 0.0
     if h >= 1.0:
         raise DivergentRegimeError(
             f"product-vs-truncation remainder requires h < 1, got h={h}")
-    table = _product_table(cbar * m)
+    table = _product_table(u)
 
     def term(p: int) -> float:
         inner = table[p]
@@ -191,10 +196,20 @@ def cfqm_remainder(cbar: float, h: float, s: int, m: int,
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _factorial_constants(s: int) -> tuple[float, float, float, float, float]:
+    """(2s)!, (s!)**4, (2s+1) ((2s)!)**3, their int/int quotient and
+    (2s+1)!, each rounded to float once, as mixed arithmetic would."""
+    numer = math.factorial(s) ** 4
+    denom = (2 * s + 1) * math.factorial(2 * s) ** 3
+    return (float(math.factorial(2 * s)), float(numer), float(denom),
+            numer / denom, float(math.factorial(2 * s + 1)))
+
+
 def _quadrature_inner_sum(c: float, h: float, s: int) -> float:
     """c * (2s)! / (1 - h/2)**(2s+1), the closed form of the tail
     sum_{l >= 0} c * (2s+l)!/l! * (h/2)**l."""
-    return c * math.factorial(2 * s) / (1.0 - h / 2.0) ** (2 * s + 1)
+    return c * _factorial_constants(s)[0] / (1.0 - h / 2.0) ** (2 * s + 1)
 
 
 def quadrature_remainder(y, c: float, h: float, s: int) -> float:
@@ -212,10 +227,7 @@ def quadrature_remainder(y, c: float, h: float, s: int) -> float:
     Once the prefactor leaves the normal float range (h < 1.6e-61 at
     s = 2), the weights carry its h**(2s+1) instead: |y_{i,g}| h**(2s+1-g).
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    require_positive(c=c, h=h)
     require_finite(c=c, h=h)
     if h >= 2.0:
         raise DivergentRegimeError(
@@ -223,17 +235,24 @@ def quadrature_remainder(y, c: float, h: float, s: int) -> float:
     ymat = np.atleast_2d(np.asarray(y, dtype=float))
     if ymat.shape[1] != s:
         raise ValueError(f"y must have s={s} columns, got shape {ymat.shape}")
-    numer, denom = math.factorial(s) ** 4, (2 * s + 1) * math.factorial(2 * s) ** 3
+    return _quadrature_term(np.abs(ymat).tolist(), c, h, s)
+
+
+def _quadrature_term(y_abs_rows, c: float, h: float, s: int) -> float:
+    """The quadrature bound for rows of |y_{i,g}| and 0 < h < 2."""
+    _, numer, denom, ratio, _ = _factorial_constants(s)
     prefactor = h ** (2 * s + 1) * numer / denom
     inner = _quadrature_inner_sum(c, h, s)
     if prefactor < sys.float_info.min:
+        # fsum rounds the exact sum once, whatever the order of its terms
         powers = [h ** (2 * s + 1 - g) for g in range(s)]
-        return numer / denom * inner * math.fsum((np.abs(ymat) * powers).flat)
+        return ratio * inner * math.fsum(y_abs * power for row in y_abs_rows
+                                         for y_abs, power in zip(row, powers))
     # row by row, left to right, in Python floats (not sum(), which
     # compensates floats from Python 3.12 on)
     scales = [h ** g for g in range(s)]
     weights = 0.0
-    for row in np.abs(ymat).tolist():
+    for row in y_abs_rows:
         for y_abs, scale in zip(row, scales):
             weights += y_abs / scale
     return prefactor * inner * weights
@@ -266,20 +285,30 @@ def trotter_step_error(z, n: int, h: float, s: int) -> float:
     """
     if n < 2:
         raise ValueError(f"need at least two spins, got n={n}")
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
+    require_positive(h=h)
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     require_finite(h=h)
-    zmat = np.atleast_2d(np.asarray(z, dtype=float))
-    # n * K(s) in exact integers, then one rounding to float
-    const = float(n * _trotter_stage_sum(s))
-    fact = math.factorial(2 * s + 1)
-    total = 0.0
-    for row in np.abs(zmat).tolist():
-        row_sum = 0.0  # left to right, as numpy sums rows this short
+    return _trotter_term(_abs_row_sums(z), n, h, s)
+
+
+def _abs_row_sums(z) -> tuple[float, ...]:
+    """sum_k |z_{i,k}| per row, left to right, as numpy sums rows this short."""
+    sums = []
+    for row in np.abs(np.atleast_2d(np.asarray(z, dtype=float))).tolist():
+        row_sum = 0.0
         for z_abs in row:
             row_sum += z_abs
+        sums.append(row_sum)
+    return tuple(sums)
+
+
+def _trotter_term(z_row_sums, n: int, h: float, s: int) -> float:
+    # n * K(s) in exact integers, then one rounding to float
+    const = float(n * _trotter_stage_sum(s))
+    fact = _factorial_constants(s)[4]
+    total = 0.0
+    for row_sum in z_row_sums:
         total += const * (row_sum / (4.0 * n) * h) ** (2 * s + 1) / fact
     return total
 
@@ -323,6 +352,15 @@ class ErrorBreakdown:
         return self.magnus_taylor + self.cfqm_taylor + self.quadrature + self.trotter
 
 
+@lru_cache(maxsize=64)
+def _scheme_constants(scheme) -> tuple[tuple, tuple[float, ...]]:
+    """|y| rows per coefficient family (y, or y_rho and y_sigma) and |z|
+    row sums (none for split schemes) of a scheme, as Python floats."""
+    families = (scheme.y_rho, scheme.y_sigma) if scheme.is_split else (scheme.y,)
+    return (tuple(tuple(map(tuple, np.abs(y).tolist())) for y in families),
+            () if scheme.is_split else _abs_row_sums(scheme.z))
+
+
 def step_error(scheme, params: BoundParams, rel_tol: float = 1e-6) -> ErrorBreakdown:
     """Assemble the full per-step bound for a scheme.
 
@@ -334,19 +372,34 @@ def step_error(scheme, params: BoundParams, rel_tol: float = 1e-6) -> ErrorBreak
     the cost of implementing each exponential on the spin chain.  The s=1
     scheme is the exact exponential of the truncated series, so its product
     term vanishes (see :func:`cfqm_remainder`).
+
+    ``params`` is checked once, up front, with the term functions'
+    exceptions and messages, so bad inputs raise before any convergence
+    guard; the terms come from the kernels those functions share, with the
+    scheme constants cached per scheme.
     """
-    if params.s != scheme.s or params.m != scheme.m:
+    c, cbar, h, s, m, n = (params.c, params.cbar, params.h, params.s,
+                           params.m, params.n)
+    if s != scheme.s or m != scheme.m:
         raise ValueError(
-            f"params (s={params.s}, m={params.m}) do not match scheme "
+            f"params (s={s}, m={m}) do not match scheme "
             f"{scheme.scheme_id} (s={scheme.s}, m={scheme.m})")
-    magnus = magnus_remainder(params.c, params.h, params.s, rel_tol)
-    if scheme.is_split:
-        cfqm = cfqm_remainder(params.cbar, params.h, params.s, 2 * params.m, rel_tol)
-        quad = (quadrature_remainder(scheme.y_rho, params.c, params.h, params.s)
-                + quadrature_remainder(scheme.y_sigma, params.c, params.h, params.s))
-        trotter = 0.0
-    else:
-        cfqm = cfqm_remainder(params.cbar, params.h, params.s, params.m, rel_tol)
-        quad = quadrature_remainder(scheme.y, params.c, params.h, params.s)
-        trotter = trotter_step_error(scheme.z, params.n, params.h, params.s)
+    exponentials = 2 * m if scheme.is_split else m
+    require_positive(c=c, h=h)
+    if s < 1:
+        raise ValueError(f"s must be >= 1, got {s}")
+    require_finite(c=c, h=h)
+    require_positive(cbar=cbar)
+    if exponentials < 1:
+        raise ValueError(f"s and m must be >= 1, got s={s}, m={exponentials}")
+    require_finite(cbar=cbar)
+    if not scheme.is_split and n < 2:
+        raise ValueError(f"need at least two spins, got n={n}")
+    y_families, z_row_sums = _scheme_constants(scheme)
+    magnus = _magnus_tail(c, h, s, rel_tol)
+    cfqm = _product_tail(cbar * exponentials, h, s, rel_tol)
+    quad = 0.0  # split schemes add their two families' terms, as floats
+    for y_abs_rows in y_families:
+        quad += _quadrature_term(y_abs_rows, c, h, s)
+    trotter = 0.0 if scheme.is_split else _trotter_term(z_row_sums, n, h, s)
     return ErrorBreakdown(magnus, cfqm, quad, trotter)

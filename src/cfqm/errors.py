@@ -3,7 +3,8 @@
 Every guard that protects a mathematical precondition raises one of these
 instead of returning garbage, so callers (and the CLI) can distinguish
 "the bound does not apply here" from "the computation failed".
-:func:`require_finite` is the one check for non-finite inputs.
+:func:`require_finite` is the one check for non-finite inputs and
+:func:`require_positive` the one for non-positive ones.
 """
 
 import math
@@ -14,6 +15,14 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def require_positive(**values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is <= 0 (NaN
+    passes; :func:`require_finite` rejects it)."""
+    for name, value in values.items():
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 class DivergentRegimeError(ValueError):

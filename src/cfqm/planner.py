@@ -43,6 +43,7 @@ from .errors import (
     InfeasiblePlanError,
     ReferenceConvergenceError,
     require_finite,
+    require_positive,
 )
 
 MAX_STEPS = 2 ** 32
@@ -70,8 +71,7 @@ class ModelBounds:
     n: int
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        require_positive(c=self.c)
         require_finite(c=self.c)
         # ints skip the float conversion, which overflows beyond ~1e308
         if not isinstance(self.n, int) and not float(self.n).is_integer():
@@ -167,10 +167,7 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
     never certify from guards that never engaged.
     """
     require_finite(total_time=total_time, epsilon=epsilon)
-    if total_time <= 0:
-        raise ValueError(f"total_time must be positive, got {total_time}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    require_positive(total_time=total_time, epsilon=epsilon)
     cbar = schemes.compute_cbar(scheme, model_bounds.c)
 
     def attempt(r: int) -> ErrorBreakdown | None:

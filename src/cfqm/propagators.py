@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import spin_model
-from .errors import ReferenceConvergenceError, require_finite
+from .errors import ReferenceConvergenceError, require_finite, require_positive
 
 #: Micro-steps per chunk of the reference propagator, as a budget of chunk
 #: * 4^n (at least 16 steps): each chunk is exponentiated as one stack and
@@ -429,8 +429,7 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
     require_finite(t0=t0, t1=t1, tol=tol)
     if t1 <= t0:
         raise ValueError(f"need t1 > t0, got [{t0}, {t1}]")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    require_positive(tol=tol)
     key = (model.n, model.phases.tobytes(), model.freqs.tobytes(), t0, t1, tol)
     cached = _REFERENCE_CACHE.get(key)
     if cached is not None:

@@ -41,7 +41,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DataIntegrityError, SchemeLookupError
+from .errors import DataIntegrityError, SchemeLookupError, require_positive
 
 #: Scheme identifiers shipped with the package, in order of increasing cost.
 SCHEME_IDS = ("CF2-1", "CF4-2", "CF4-3", "CF6-5", "CF6-6", "GS6-4", "GS10-6")
@@ -123,8 +123,7 @@ def compute_cbar(scheme: "CFQMScheme", c: float) -> float:
     j > jmax drops below the current maximum, so the result is certified
     rather than truncated.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+    require_positive(c=c)
     if scheme.is_split:
         rows = np.vstack([scheme.y_rho, scheme.y_sigma])
     else:

@@ -10,6 +10,7 @@ whose cost formula is checked here too.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 from cfqm import bounds, series_core
 from cfqm.bounds import (
     BoundParams,
+    ErrorBreakdown,
     cfqm_remainder,
     magnus_remainder,
     quadrature_remainder,
@@ -222,33 +224,61 @@ def test_suzuki_step_cost_rejects_an_overflowing_count():
     assert suzuki_exponentials(2, 1.0, 1e300, 1e-3) is None
 
 
+def _outcome(fn, *args):
+    """A call's value, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:  # DivergentRegimeError is one
+        return type(exc), str(exc)
+
+
+def _public_terms(scheme, c: float, cbar: float, h: float, n: int) -> ErrorBreakdown:
+    """step_error's breakdown from the public term functions: split
+    products have 2m exponentials, add the y_rho and y_sigma quadrature
+    terms and need no product formula."""
+    s = scheme.s
+    if scheme.is_split:
+        return ErrorBreakdown(
+            magnus_remainder(c, h, s), cfqm_remainder(cbar, h, s, 2 * scheme.m),
+            quadrature_remainder(scheme.y_rho, c, h, s)
+            + quadrature_remainder(scheme.y_sigma, c, h, s), 0.0)
+    return ErrorBreakdown(
+        magnus_remainder(c, h, s), cfqm_remainder(cbar, h, s, scheme.m),
+        quadrature_remainder(scheme.y, c, h, s), trotter_step_error(scheme.z, n, h, s))
+
+
+def _assert_step_error_is_its_public_terms(split: bool) -> None:
+    # h from the quadrature prefactor-underflow branch (1e-70) to just
+    # below each convergence guard: the Magnus one at c = 1 and the
+    # product one (h < 1) at c = 1/4, beyond which the Magnus guard lies;
+    # every field is its public term bit for bit, and where step_error
+    # raises, the first public term to raise raises the same
+    seen = Counter()
+    for scheme_id in SCHEME_IDS:
+        scheme = load_scheme(scheme_id)
+        if scheme.is_split != split:
+            continue
+        for c, guard in ((1.0, 2.0 * (1.0 - math.exp(-0.5))), (0.25, 1.0)):
+            cbar = compute_cbar(scheme, c)
+            for h in (1e-70, 1e-62, 1e-40, 1e-12, 1e-3, 0.0185759637, 0.1,
+                      0.5 * guard, 0.9 * guard, guard * (1 - 1e-9)):
+                for n in (2, 128, 2 ** 40):
+                    want = _outcome(_public_terms, scheme, c, cbar, h, n)
+                    params = BoundParams(c=c, cbar=cbar, h=h, s=scheme.s,
+                                         m=scheme.m, n=n)
+                    assert _outcome(step_error, scheme, params) == want, (
+                        scheme_id, c, h, n)
+                    seen[type(want).__name__] += 1
+                    seen["underflow"] += h == 1e-70 and want.quadrature > 0.0
+    assert seen["tuple"] and seen["ErrorBreakdown"] and seen["underflow"], seen
+
+
 def test_step_error_assembly_non_split():
-    scheme = load_scheme("CF4-2")
-    c, h, n = 1.0, 0.25, 4
-    params = BoundParams(c=c, cbar=compute_cbar(scheme, c), h=h,
-                         s=scheme.s, m=scheme.m, n=n)
-    bd = step_error(scheme, params)
-    assert bd.magnus_taylor == pytest.approx(magnus_remainder(c, h, 2), rel=1e-9)
-    assert bd.quadrature == pytest.approx(
-        quadrature_remainder(scheme.y, c, h, 2), rel=1e-12)
-    assert bd.trotter == pytest.approx(
-        trotter_step_error(scheme.z, n, h, 2), rel=1e-12)
-    assert bd.total == pytest.approx(
-        bd.magnus_taylor + bd.cfqm_taylor + bd.quadrature + bd.trotter, rel=1e-15)
+    _assert_step_error_is_its_public_terms(split=False)
 
 
 def test_step_error_assembly_split():
-    scheme = load_scheme("GS6-4")
-    params = BoundParams(c=1.0, cbar=compute_cbar(scheme, 1.0), h=0.25,
-                         s=scheme.s, m=scheme.m, n=4)
-    bd = step_error(scheme, params)
-    assert bd.trotter == 0.0
-    assert bd.quadrature == pytest.approx(
-        quadrature_remainder(scheme.y_rho, 1.0, 0.25, 2)
-        + quadrature_remainder(scheme.y_sigma, 1.0, 0.25, 2), rel=1e-12)
-    # split product has 2m exponentials in the product-vs-truncation term
-    assert bd.cfqm_taylor == pytest.approx(
-        cfqm_remainder(params.cbar, 0.25, 2, 2 * scheme.m), rel=1e-9)
+    _assert_step_error_is_its_public_terms(split=True)
 
 
 def test_step_error_first_order_has_no_product_term():
@@ -263,6 +293,53 @@ def test_step_error_rejects_mismatched_params():
     params = BoundParams(c=1.0, cbar=0.5, h=0.2, s=1, m=2, n=4)
     with pytest.raises(ValueError):
         step_error(scheme, params)
+
+
+_CF4_2 = dict(c=1.0, cbar=0.5, h=0.1, s=2, m=2, n=4)
+_TAIL_STOP = ("remainder tail did not satisfy the stopping rule within 400 "
+              "orders; the step size is too close to (or beyond) the "
+              "convergence boundary")
+STEP_ERROR_FAULTS = {
+    "c <= 0": (dict(c=0.0), ValueError, "c must be positive, got 0.0"),
+    "cbar <= 0": (dict(cbar=-0.5), ValueError, "cbar must be positive, got -0.5"),
+    "h <= 0": (dict(h=-0.0), ValueError, "h must be positive, got -0.0"),
+    "c nan": (dict(c=math.nan), ValueError, "c must be finite, got nan"),
+    "c inf": (dict(c=math.inf), ValueError, "c must be finite, got inf"),
+    "cbar nan": (dict(cbar=math.nan), ValueError, "cbar must be finite, got nan"),
+    "cbar inf": (dict(cbar=math.inf), ValueError, "cbar must be finite, got inf"),
+    "h nan": (dict(h=math.nan), ValueError, "h must be finite, got nan"),
+    "h inf": (dict(h=math.inf), ValueError, "h must be finite, got inf"),
+    "s mismatch": (dict(s=3), ValueError,
+                   "params (s=3, m=2) do not match scheme CF4-2 (s=2, m=2)"),
+    "m mismatch": (dict(m=3), ValueError,
+                   "params (s=2, m=3) do not match scheme CF4-2 (s=2, m=2)"),
+    "n < 2": (dict(n=1), ValueError, "need at least two spins, got n=1"),
+    "magnus guard": (dict(h=0.8), DivergentRegimeError,
+                     "Magnus remainder series diverges at h=0.8, c=1.0: "
+                     "need 2c*(-ln(1-h/2)) < 1"),
+    "magnus guard h >= 2": (dict(c=0.25, h=2.0), DivergentRegimeError,
+                            "Magnus remainder series diverges at h=2.0, c=0.25: "
+                            "need 2c*(-ln(1-h/2)) < 1"),
+    "product guard": (dict(c=0.25, cbar=0.125, h=1.2), DivergentRegimeError,
+                      "product-vs-truncation remainder requires h < 1, got h=1.2"),
+    "stopping rule below the magnus guard": (dict(h=0.786), DivergentRegimeError,
+                                             _TAIL_STOP),
+    "stopping rule below the product guard": (dict(c=0.25, cbar=0.125, h=0.999),
+                                              DivergentRegimeError, _TAIL_STOP),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STEP_ERROR_FAULTS))
+def test_step_error_raises_the_term_functions_errors(request, fault):
+    # params are checked once, up front, with the exception types and
+    # messages the public term functions raise for the same input, so bad
+    # inputs fail before any series work
+    changes, kind, message = STEP_ERROR_FAULTS[fault]
+    if kind is ValueError:
+        request.getfixturevalue("no_series_work")
+    with pytest.raises(kind) as info:
+        step_error(load_scheme("CF4-2"), BoundParams(**dict(_CF4_2, **changes)))
+    assert type(info.value) is kind and str(info.value) == message
 
 
 def _value_or_divergent(fn, *args):
