@@ -98,10 +98,11 @@ def _cmd_plan(args) -> int:
         scheme = schemes.load_scheme(scheme_id)
         p = planner.plan(scheme, mb, args.time, args.eps)
         b = p.breakdown
+        suzuki = "" if p.suzuki_exponentials is None else p.suzuki_exponentials
         print(f"scheme={p.scheme_id} T={p.total_time:g} n={p.n} "
               f"eps={p.epsilon:g} r={p.r} h={p.h:.9g} "
               f"exponentials={p.exponentials} "
-              f"suzuki_exponentials={p.suzuki_exponentials} "
+              f"suzuki_exponentials={suzuki} "
               f"magnus_taylor={b.magnus_taylor:.6e} "
               f"cfqm_taylor={b.cfqm_taylor:.6e} "
               f"quadrature={b.quadrature:.6e} trotter={b.trotter:.6e}")

@@ -277,7 +277,7 @@ def test_tiny_total_times_plan(capsys, scheme_id, total_time, eps, r):
     fields = dict(tok.split("=", 1) for tok in captured.out.split())
     assert int(fields["r"]) == r
     assert fields["suzuki_exponentials"] == TINY_TIME_SUZUKI.get(
-        (scheme_id, total_time), "None")
+        (scheme_id, total_time), "")
     if r > 1:
         assert fields["quadrature"] == "7.663092e-307"
 
