@@ -6,7 +6,8 @@ are checked here against the composition DP and exact Fraction series of
 The cached product inner sums are checked with ``==`` against the
 uncached term of ``oracles``, and every bound must reject non-finite
 inputs before any series work, as must the planner's Suzuki yardstick,
-whose cost formula is checked here too.
+whose cost formula is checked here too.  ``step_error`` is pinned to the
+public term functions bit for bit, and to their exceptions.
 """
 
 import math
