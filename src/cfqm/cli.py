@@ -12,6 +12,7 @@ bad ``--grid`` included; what argparse itself rejects exits 2 with usage.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -164,6 +165,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # a missing output directory fails before any planning or reference work
+        if getattr(args, "out", None) and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(f"no directory for --out {args.out}")
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

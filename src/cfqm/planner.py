@@ -157,14 +157,18 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
          epsilon: float) -> Plan:
     """Minimal-step plan meeting ``r * step_bound(T/r) <= epsilon``.
 
-    The per-step bound decreases faster than 1/r as r grows (every term
-    is O(h^{2s+1}) or steeper), so the global bound is monotone in r and
-    the minimal feasible r is found by doubling until feasible and then
-    bisecting.  Step counts where the bounds' convergence guards fail are
-    treated as infeasible.  Non-finite or non-positive ``total_time`` and
-    ``epsilon`` raise ValueError.  Raises :class:`InfeasiblePlanError` if no
-    r <= 2**32 works; the message distinguishes budgets the bounds can
-    never certify from guards that never engaged.
+    The global bound is T f(h)/h for h = T/r and a positive series f of
+    lowest power h^3 or higher, so it falls at least 4x per doubling of r,
+    far beyond the tail sums' stopping-rule error, and every convergence
+    guard (a failed one counts as infeasible) is monotone in h.  So probing
+    r = 1 (tiny T plan there, before any h can underflow), then r = 2**32
+    (it alone decides infeasibility), then exponents off the log-log secant
+    of the bounds seen finds the first feasible power of two 2**k, where
+    doubling from r = 1 stops, and bisecting (2**(k-1), 2**k] gives the
+    doubling search's plans and errors.  Non-finite or non-positive
+    ``total_time`` and ``epsilon`` raise ValueError; the
+    :class:`InfeasiblePlanError` of a budget no r <= 2**32 meets tells it
+    from guards that never engaged.
     """
     require_finite(total_time=total_time, epsilon=epsilon)
     require_positive(total_time=total_time, epsilon=epsilon)
@@ -179,19 +183,33 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
     # the minimal feasible count lies in (lo, r] once r is feasible, and
     # best is the breakdown at r
     lo, r = 0, 1
-    while (best := attempt(r)) is None or r * best.total > epsilon:
-        if r == MAX_STEPS:
-            # h = T/r is smallest here and every guard is monotone in h, so
-            # this last attempt tells whether the guards ever held
-            if best is None:
-                raise InfeasiblePlanError(
-                    f"no step count up to 2**32 brings h = {total_time}/r inside "
-                    f"the convergence guards (c={model_bounds.c}); the bound "
-                    "series diverge everywhere on this range")
+    if (best := attempt(1)) is None or best.total > epsilon:
+        j_lo, j_hi = 0, MAX_STEPS.bit_length() - 1
+        if (best := attempt(2 ** j_hi)) is None:
+            raise InfeasiblePlanError(
+                f"no step count up to 2**32 brings h = {total_time}/r inside "
+                f"the convergence guards (c={model_bounds.c}); the bound "
+                "series diverge everywhere on this range")
+        if 2 ** j_hi * best.total > epsilon:
             raise InfeasiblePlanError(
                 f"no step count up to 2**32 meets epsilon={epsilon} for scheme "
                 f"{scheme.scheme_id} at T={total_time}")
-        lo, r = r, 2 * r
+        # 2**j_lo is infeasible, 2**j_hi feasible; probe between them where the
+        # log-log secant of the last two bounds g meets epsilon, its slope
+        # at most -2 and -2s from a virtual point one exponent above 2**32
+        j1, g1 = j_hi, 2 ** j_hi * best.total
+        j0, g0 = j1 + 1, g1 / 4 ** scheme.s
+        while j_hi - j_lo > 1:
+            y0, y1 = (math.log2(min(g or 5e-324, 1e308)) for g in (g0, g1))
+            guess = j1 + (math.log2(epsilon) - y1) / min((y1 - y0) / (j1 - j0), -2.0)
+            j = min(max(math.ceil(guess), j_lo + 1), j_hi - 1)
+            if (bd := attempt(2 ** j)) is not None:
+                (j0, g0), (j1, g1) = (j1, g1), (j, 2 ** j * bd.total)
+            if bd is not None and 2 ** j * bd.total <= epsilon:
+                j_hi, best = j, bd
+            else:
+                j_lo = j
+        lo, r = 2 ** (j_hi - 1), 2 ** j_hi
     while r - lo > 1:
         mid = (lo + r) // 2
         bd = attempt(mid)

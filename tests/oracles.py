@@ -18,7 +18,9 @@ d x d midpoint micro-steps exponentiated by ``eigh``, and
 :func:`scalar_compute_cbar` scans the xbar coefficients one (i, j) at a
 time: the routes the runtime's
 weight-built sector exponents, local gates, sector blocks, Taylor
-exponentials and vectorised scan replace.  None of this is used at run time.
+exponentials and vectorised scan replace.  :func:`doubling_plan_search`
+is the planner's step-count search before its exponent search: doubling
+r from 1, then bisecting.  None of this is used at run time.
 
 A *composition* of p >= 1 is an ordered tuple of positive integers summing
 to p; there are 2**(p-1) of them.  A *weak composition* of d into m parts
@@ -39,7 +41,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from cfqm import spin_model
+from cfqm import planner, schemes, spin_model
+from cfqm.errors import DivergentRegimeError, InfeasiblePlanError
 from cfqm.propagators import (
     _REFERENCE_CHUNK_BUDGET,
     _REFERENCE_MAX_STEPS,
@@ -206,6 +209,48 @@ def uncached_product_term(u: float, h: float, p: int) -> float:
             return math.inf
         inner += a
     return h ** p * inner
+
+
+def doubling_plan_search(scheme, model_bounds, total_time: float,
+                         epsilon: float):
+    """(r, breakdown) of the minimal feasible step count, found by doubling
+    r from 1 until feasible and then bisecting the last doubling: the
+    search :func:`cfqm.planner.plan` ran before it located the power-of-two
+    bracket by an exponent search.  Raises the same
+    :class:`InfeasiblePlanError` messages."""
+    cbar = schemes.compute_cbar(scheme, model_bounds.c)
+
+    def attempt(r: int):
+        try:
+            return planner._breakdown_at(scheme, model_bounds, cbar,
+                                         total_time / r)
+        except DivergentRegimeError:
+            return None
+
+    # the minimal feasible count lies in (lo, r] once r is feasible, and
+    # best is the breakdown at r
+    lo, r = 0, 1
+    while (best := attempt(r)) is None or r * best.total > epsilon:
+        if r == planner.MAX_STEPS:
+            # h = T/r is smallest here and every guard is monotone in h, so
+            # this last attempt tells whether the guards ever held
+            if best is None:
+                raise InfeasiblePlanError(
+                    f"no step count up to 2**32 brings h = {total_time}/r inside "
+                    f"the convergence guards (c={model_bounds.c}); the bound "
+                    "series diverge everywhere on this range")
+            raise InfeasiblePlanError(
+                f"no step count up to 2**32 meets epsilon={epsilon} for scheme "
+                f"{scheme.scheme_id} at T={total_time}")
+        lo, r = r, 2 * r
+    while r - lo > 1:
+        mid = (lo + r) // 2
+        bd = attempt(mid)
+        if bd is not None and mid * bd.total <= epsilon:
+            r, best = mid, bd
+        else:
+            lo = mid
+    return r, best
 
 
 def scalar_compute_cbar(scheme, c: float) -> float:

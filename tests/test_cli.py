@@ -5,7 +5,7 @@ import csv
 
 import pytest
 
-from cfqm import cli, spin_model
+from cfqm import cli, planner, propagators, spin_model
 
 
 def test_grid_parser():
@@ -62,6 +62,26 @@ def test_sweep_missing_axis_parameter(tmp_path, capsys):
                    "CF2-1", "--eps", "1e-3", "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ValueError:")
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--axis", "time", "--grid", "1,2", "--eps", "1e-3", "--spins", "4"],
+    ["validate", "--spins", "2", "--samples", "1", "--seed", "1"],
+])
+def test_missing_out_directory_fails_before_any_work(tmp_path, monkeypatch,
+                                                      capsys, command):
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before the --out check")
+
+    for module, name in ((planner, "plan"), (planner, "_breakdown_at"),
+                         (propagators, "reference_propagator")):
+        monkeypatch.setattr(module, name, never)
+    out = tmp_path / "missing" / "x.csv"
+    rc = cli.main(command + ["--scheme", "CF2-1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: FileNotFoundError: no directory for --out {out}\n"
 
 
 def test_validate_exits_zero_when_bounds_hold(tmp_path, capsys):

@@ -18,6 +18,7 @@ from cfqm.planner import (
     validate,
     verify_order,
 )
+from oracles import doubling_plan_search
 
 
 def _scheme(scheme_id):
@@ -104,20 +105,8 @@ def test_plan_reports_divergence():
 _DOUBLING = [2 ** k for k in range(33)]
 
 
-@pytest.mark.parametrize("scheme_id, total_time, n, epsilon, probes, outcome", [
-    ("CF4-2", 1024.0, 128, 1e-3,
-     _DOUBLING[:17] + [49152, 57344, 53248, 55296, 54272, 54784, 55040, 55168,
-                       55104, 55136, 55120, 55128, 55124, 55126, 55125],
-     55125),
-    ("GS10-6", 4.0, 4, 1e-2,
-     _DOUBLING[:10] + [384, 320, 288, 272, 264, 268, 266, 265], 266),
-    ("CF2-1", 1.0, 4, 1e-30, _DOUBLING, "meets epsilon"),
-    ("CF2-1", float(2 ** 34), 4, 1e-3, _DOUBLING, "diverge"),
-])
-def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
-                                       epsilon, probes, outcome):
-    # the bound evaluations plan spends: doubling, then bisection of the
-    # bracket, every h exactly T / r
+def _recording(monkeypatch):
+    """Record the h of every bound evaluation plan (or the oracle) spends."""
     seen = []
     breakdown_at = planner._breakdown_at
 
@@ -126,13 +115,98 @@ def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
         return breakdown_at(scheme, model_bounds, cbar, h)
 
     monkeypatch.setattr(planner, "_breakdown_at", recording)
+    return seen
+
+
+# probes: (the head plan probes before the bisection, the bisection that
+# the doubling search it replaced ran too)
+@pytest.mark.parametrize("scheme_id, total_time, n, epsilon, probes, outcome", [
+    ("CF4-2", 1024.0, 128, 1e-3,
+     ([1, 2 ** 32, 2 ** 20, 2 ** 16, 2 ** 15],
+      [49152, 57344, 53248, 55296, 54272, 54784, 55040, 55168, 55104, 55136,
+       55120, 55128, 55124, 55126, 55125]),
+     55125),
+    ("GS10-6", 4.0, 4, 1e-2,
+     ([1, 2 ** 32, 2 ** 13, 2 ** 7, 2 ** 9, 2 ** 8],
+      [384, 320, 288, 272, 264, 268, 266, 265]),
+     266),
+    ("CF2-1", 1.0, 4, 1e-30, ([1, 2 ** 32], []), "meets epsilon"),
+    ("CF2-1", float(2 ** 34), 4, 1e-3, ([1, 2 ** 32], []), "diverge"),
+])
+def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
+                                       epsilon, probes, outcome):
+    # the bound evaluations plan spends: r = 1, r = 2**32, the exponent
+    # search for the power-of-two bracket, then the bisection of the
+    # bracket, every h exactly T / r
+    head, bisection = probes
+    seen = _recording(monkeypatch)
     args = (_scheme(scheme_id), ModelBounds(c=1.0, n=n), total_time, epsilon)
-    if isinstance(outcome, int):
-        assert plan(*args).r == outcome
-    else:
-        with pytest.raises(InfeasiblePlanError, match=outcome):
-            plan(*args)
-    assert seen == [total_time / r for r in probes]
+    searches = {"plan": lambda: plan(*args).r,
+                "doubling": lambda: doubling_plan_search(*args)[0]}
+    recorded = {}
+    for name, search in searches.items():
+        seen.clear()
+        if isinstance(outcome, int):
+            assert search() == outcome
+        else:
+            with pytest.raises(InfeasiblePlanError, match=outcome):
+                search()
+        recorded[name] = list(seen)
+    assert recorded["plan"] == [total_time / r for r in head + bisection]
+    # the doubling search probed 1, 2, ..., 2**k and then the same
+    # bisection, element for element
+    k = len(recorded["doubling"]) - len(bisection)
+    assert recorded["doubling"] == [total_time / r for r in _DOUBLING[:k] + bisection]
+    assert recorded["plan"][len(head):] == recorded["doubling"][k:]
+
+
+# the benchmark's plan-grid points: T at n = 128 and eps = 1e-3, eps at
+# T = 1024 and n = 128, and the n = T diagonal at eps = 1e-3
+_PLAN_GRID = ([(2.0 ** k, 128, 1e-3) for k in range(6, 17)]
+              + [(1024.0, 128, 10.0 ** -k) for k in range(2, 8)]
+              + [(float(2 ** k), 2 ** k, 1e-3) for k in range(2, 13)])
+
+
+def test_plan_search_cost_is_pinned(monkeypatch):
+    # bound evaluations over the 7 x 28 plan-grid points: 6696 with the
+    # doubling search, 4119 with the exponent search; a search that spends
+    # more fails here before it shows in a benchmark
+    seen = _recording(monkeypatch)
+    for scheme_id in schemes.SCHEME_IDS:
+        for total_time, n, epsilon in _PLAN_GRID:
+            plan(_scheme(scheme_id), ModelBounds(c=1.0, n=n), total_time, epsilon)
+    assert len(seen) == 4119
+
+
+def _outcome(search):
+    try:
+        return search()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def test_plan_matches_the_doubling_search():
+    # 600 seeded points, a third with T down to 1e-320 and half with eps
+    # down to 1e-323: every plan, breakdown and error of the exponent
+    # search is the doubling search's (about 0.3 s)
+    rng = np.random.default_rng(20261020)
+    outcomes = {"plan": 0, "meets epsilon": 0, "diverge": 0}
+    for i in range(600):
+        scheme = _scheme(schemes.SCHEME_IDS[i % len(schemes.SCHEME_IDS)])
+        total_time = 10.0 ** rng.uniform(-320 if i % 3 == 0 else -3, 11)
+        epsilon = 10.0 ** rng.uniform(-323 if i % 2 == 0 else -20, 1)
+        mb = ModelBounds(c=1.0, n=round(10.0 ** rng.uniform(math.log10(2), 7)))
+        args = (scheme, mb, total_time, epsilon)
+        found = _outcome(lambda: plan(*args))
+        expected = _outcome(lambda: doubling_plan_search(*args))
+        if isinstance(found, planner.Plan):
+            assert (found.r, found.breakdown) == expected, args
+            outcomes["plan"] += 1
+        else:
+            assert found == expected, args
+            assert found[0] is InfeasiblePlanError
+            outcomes["diverge" if "diverge" in found[1] else "meets epsilon"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_suzuki_yardstick_vacuous_when_budget_exceeds_validity():
