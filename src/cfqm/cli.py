@@ -165,9 +165,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # a missing output directory fails before any planning or reference work
-        if getattr(args, "out", None) and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise FileNotFoundError(f"no directory for --out {args.out}")
+        # an --out that cannot be a file fails before any planning or reference work
+        out = getattr(args, "out", None)
+        if out == "":
+            raise FileNotFoundError("--out is an empty path ''")
+        if out is not None and os.path.isdir(out):
+            raise IsADirectoryError(f"--out {out} is a directory")
+        if out and not os.path.isdir(os.path.dirname(out) or "."):
+            raise FileNotFoundError(f"no directory for --out {out}")
         return _COMMANDS[args.command](args)
     except (ValueError, KeyError, RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -162,10 +162,14 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
     far beyond the tail sums' stopping-rule error, and every convergence
     guard (a failed one counts as infeasible) is monotone in h.  So probing
     r = 1 (tiny T plan there, before any h can underflow), then r = 2**32
-    (it alone decides infeasibility), then exponents off the log-log secant
-    of the bounds seen finds the first feasible power of two 2**k, where
-    doubling from r = 1 stops, and bisecting (2**(k-1), 2**k] gives the
-    doubling search's plans and errors.  Non-finite or non-positive
+    (it alone decides infeasibility), then exponents strictly inside the
+    bracket of powers of two seen finds the first feasible power of two
+    2**k, where doubling from r = 1 stops, and bisecting (2**(k-1), 2**k]
+    gives the doubling search's plans and errors.  Each exponent is a guess
+    from one anchor, the last probe with a finite bound g, feasible or not:
+    the global bound of an order-2s scheme falls as r**(-2s), so it meets
+    epsilon near floor(j + (log2 g - log2 epsilon) / (2s)).  The guess
+    decides only the cost, never the plan.  Non-finite or non-positive
     ``total_time`` and ``epsilon`` raise ValueError; the
     :class:`InfeasiblePlanError` of a budget no r <= 2**32 meets tells it
     from guards that never engaged.
@@ -194,18 +198,17 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
             raise InfeasiblePlanError(
                 f"no step count up to 2**32 meets epsilon={epsilon} for scheme "
                 f"{scheme.scheme_id} at T={total_time}")
-        # 2**j_lo is infeasible, 2**j_hi feasible; probe between them where the
-        # log-log secant of the last two bounds g meets epsilon, its slope
-        # at most -2 and -2s from a virtual point one exponent above 2**32
-        j1, g1 = j_hi, 2 ** j_hi * best.total
-        j0, g0 = j1 + 1, g1 / 4 ** scheme.s
+        # 2**j_lo is infeasible, 2**j_hi feasible; probe between them where
+        # the global bound g of the last finite probe, extrapolated as
+        # r**(-2s), meets epsilon
+        j_g, g = j_hi, 2 ** j_hi * best.total
         while j_hi - j_lo > 1:
-            y0, y1 = (math.log2(min(g or 5e-324, 1e308)) for g in (g0, g1))
-            guess = j1 + (math.log2(epsilon) - y1) / min((y1 - y0) / (j1 - j0), -2.0)
-            j = min(max(math.ceil(guess), j_lo + 1), j_hi - 1)
+            y = math.log2(min(g or 5e-324, 1e308))
+            guess = math.floor(j_g + (y - math.log2(epsilon)) / (2 * scheme.s))
+            j = min(max(guess, j_lo + 1), j_hi - 1)
             if (bd := attempt(2 ** j)) is not None:
-                (j0, g0), (j1, g1) = (j1, g1), (j, 2 ** j * bd.total)
-            if bd is not None and 2 ** j * bd.total <= epsilon:
+                j_g, g = j, 2 ** j * bd.total
+            if bd is not None and g <= epsilon:
                 j_hi, best = j, bd
             else:
                 j_lo = j
@@ -324,21 +327,18 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def measured_error(scheme, model, t0: float, h: float, reference_tol: float,
-                   *, exact: bool = False) -> float:
+def measured_error(scheme, model, t0: float, h: float,
+                   reference_tol: float) -> float:
     """Spectral-norm error of one step of ``scheme`` on [t0, t0 + h].
 
-    The step is the split product for split schemes; for non-split schemes
-    it is the trotterized product a device would run, or the product of
-    exact exponentials when ``exact`` is set.  It is measured against
+    The step is the one a plan costs: the split product for split schemes,
+    the trotterized product for non-split schemes.  It is measured against
     :func:`cfqm.propagators.reference_propagator` at ``reference_tol``,
     whose :class:`ReferenceConvergenceError` propagates.
     """
     ref = propagators.reference_propagator(model, t0, t0 + h, reference_tol)
     if scheme.is_split:
         step = propagators.split_step(scheme, model, t0, h)
-    elif exact:
-        step = propagators.cfqm_step(scheme, model, t0, h)
     else:
         step = propagators.trotterized_cfqm_step(scheme, model, t0, h)
     return propagators.spectral_distance(step, ref)
@@ -437,9 +437,9 @@ def slope_window(s: int) -> tuple[float, float]:
 def verify_order(scheme, model, h_grid, t0: float = 0.0) -> float:
     """Measured convergence slope of single-step errors over ``h_grid``.
 
-    For each h the scheme's one-step propagator (with exact exponentials)
-    is compared against a converged midpoint reference, and the slope of
-    log(error) against log(h) is fit by least squares.  Raises
+    For each h the step a plan costs (split, or trotterized for non-split
+    schemes) is compared against a converged midpoint reference, and the
+    slope of log(error) against log(h) is fit by least squares.  Raises
     :class:`GridTooFineError` when any error sits below 1e-13 (roundoff
     floor, no slope is trustworthy) and :class:`AsymptoticRegimeError` when
     the errors fail to increase monotonically with h.  A non-finite ``t0``
@@ -454,8 +454,7 @@ def verify_order(scheme, model, h_grid, t0: float = 0.0) -> float:
     if hs[0] <= 0:
         raise ValueError("step sizes must be positive")
     errs = np.array([measured_error(scheme, model, t0, h,
-                                    _VERIFY_ORDER_REFERENCE_TOL, exact=True)
-                     for h in hs])
+                                    _VERIFY_ORDER_REFERENCE_TOL) for h in hs])
     if errs.min() < 1e-13:
         raise GridTooFineError(
             f"smallest step error {errs.min():.3e} is at roundoff level; "

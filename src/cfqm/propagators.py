@@ -163,8 +163,8 @@ def _exponent_weights(scheme, model, t0: float, h: float):
 
 
 def cfqm_step(scheme, model, t0: float, h: float) -> np.ndarray:
-    """One step of a non-split scheme with exact exponentials.
-
+    """One step of a non-split scheme with exact exponentials: no plan's
+    step, but the reference the Trotter-defect checks and the benchmark use.
     A non-finite ``t0`` or ``h`` raises ValueError before any matrix work,
     as in :func:`split_step` and :func:`trotterized_cfqm_step`.
     """

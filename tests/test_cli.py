@@ -64,24 +64,49 @@ def test_sweep_missing_axis_parameter(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ValueError:")
 
 
-@pytest.mark.parametrize("command", [
+_OUT_COMMANDS = [
     ["sweep", "--axis", "time", "--grid", "1,2", "--eps", "1e-3", "--spins", "4"],
     ["validate", "--spins", "2", "--samples", "1", "--seed", "1"],
-])
-def test_missing_out_directory_fails_before_any_work(tmp_path, monkeypatch,
-                                                      capsys, command):
+]
+
+
+def _forbid_work(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("work ran before the --out check")
 
     for module, name in ((planner, "plan"), (planner, "_breakdown_at"),
                          (propagators, "reference_propagator")):
         monkeypatch.setattr(module, name, never)
+
+
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+def test_missing_out_directory_fails_before_any_work(tmp_path, monkeypatch,
+                                                      capsys, command):
+    _forbid_work(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
     rc = cli.main(command + ["--scheme", "CF2-1", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
     assert captured.err == f"error: FileNotFoundError: no directory for --out {out}\n"
+
+
+# an unwritable --out is not tested: root writes through file permissions
+@pytest.mark.parametrize("command", _OUT_COMMANDS)
+@pytest.mark.parametrize("kind", ["directory", "empty"])
+def test_out_that_cannot_be_a_file_fails_before_any_work(tmp_path, monkeypatch,
+                                                          capsys, command, kind):
+    _forbid_work(monkeypatch)
+    out, want = {
+        "directory": (str(tmp_path),
+                      f"IsADirectoryError: --out {tmp_path} is a directory"),
+        "empty": ("", "FileNotFoundError: --out is an empty path ''"),
+    }[kind]
+    rc = cli.main(command + ["--scheme", "CF2-1", "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {want}\n"
 
 
 def test_validate_exits_zero_when_bounds_hold(tmp_path, capsys):

@@ -3,8 +3,9 @@
 The order is errors -> series_core -> {bounds, schemes, spin_model} ->
 propagators -> planner -> cli: a module may import only from a strictly
 lower layer, so modules of one layer never import each other.  Every
-import statement counts, function bodies included; the package
-``__init__`` re-exports everything and is exempt.
+import statement counts, function bodies included.  The package
+``__init__`` imports no module at all: the API is the modules themselves
+(``from cfqm import planner``), with no second path through aliases.
 """
 
 import ast
@@ -59,3 +60,8 @@ def test_imports_go_down(module):
     upward = sorted(target for target in _internal_imports(tree)
                     if LAYERS.get(target, -1) >= LAYERS[module])
     assert upward == [], f"{module} imports {upward} from its own layer or above"
+
+
+def test_package_init_imports_no_module():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert _internal_imports(tree) == set()
