@@ -375,7 +375,7 @@ class Problem:
 
 
 def _y_rows(problem: Problem, params: np.ndarray) -> np.ndarray:
-    r = schemes.transform_matrices(problem.s).R
+    r = np.linalg.inv(schemes.transform_matrices(problem.s).T)
     if problem.split:
         tbar, vbar = problem.matrices(params)
         rows = np.vstack([tbar, vbar])
@@ -384,23 +384,25 @@ def _y_rows(problem: Problem, params: np.ndarray) -> np.ndarray:
     return rows @ r
 
 
+def _xbars(problem: Problem, params: np.ndarray) -> np.ndarray:
+    """xbar_{i,j} = sum_g y_{i,g} T[g, j] for j = 1..4s, one row per
+    exponential, each sum taken left to right over g."""
+    t = schemes.t_matrix(problem.s, 4 * problem.s)
+    return (_y_rows(problem, params)[:, :, None] * t).sum(axis=1)
+
+
 def extended_coeff_spread(problem: Problem, params: np.ndarray) -> float:
     """max |xbar_{i,j}| over the extended basis, the constant that drives the
     product-vs-truncation bound; used to rank equally valid solutions."""
-    worst = 0.0
-    for row in _y_rows(problem, params):
-        for j in range(1, 4 * problem.s + 1):
-            worst = max(worst, abs(schemes.xbar(row, j)))
-    return worst
+    return float(np.abs(_xbars(problem, params)).max())
 
 
 def _soft_spread(problem: Problem, params: np.ndarray, p: int = 8) -> float:
     """Smooth surrogate of :func:`extended_coeff_spread` (a p-norm instead
     of the max), so gradient descent can slide along the solution family."""
     acc = 0.0
-    for row in _y_rows(problem, params):
-        for j in range(1, 4 * problem.s + 1):
-            acc += abs(schemes.xbar(row, j)) ** p
+    for value in _xbars(problem, params).ravel().tolist():
+        acc += abs(value) ** p
     return acc ** (1.0 / p)
 
 
@@ -411,15 +413,16 @@ def bound_figure(problem: Problem, params: np.ndarray,
     from cfqm import bounds
 
     tm = schemes.transform_matrices(problem.s)
+    r = np.linalg.inv(tm.T)
     if problem.split:
         tbar, vbar = problem.matrices(params)
         scheme = schemes.CFQMScheme(
             scheme_id=problem.scheme_id, s=problem.s, m=problem.m, kind="split",
-            nodes=tm.nodes, rho=tbar @ tm.R @ tm.Q, sigma=vbar @ tm.R @ tm.Q,
-            y_rho=tbar @ tm.R, y_sigma=vbar @ tm.R)
+            nodes=tm.nodes, rho=tbar @ r @ tm.Q, sigma=vbar @ r @ tm.Q,
+            y_rho=tbar @ r, y_sigma=vbar @ r)
     else:
         (x,) = problem.matrices(params)
-        y = x @ tm.R
+        y = x @ r
         scheme = schemes.CFQMScheme(
             scheme_id=problem.scheme_id, s=problem.s, m=problem.m,
             kind="non-split", nodes=tm.nodes, y=y, z=y @ tm.Q)
@@ -490,8 +493,9 @@ def format_nonsplit(problem: Problem, params: np.ndarray, comment: str) -> str:
 def format_split(problem: Problem, params: np.ndarray, comment: str) -> str:
     tbar, vbar = problem.matrices(params)
     tm = schemes.transform_matrices(problem.s)
-    rho = tbar @ tm.R @ tm.Q
-    sigma = vbar @ tm.R @ tm.Q
+    r = np.linalg.inv(tm.T)
+    rho = tbar @ r @ tm.Q
+    sigma = vbar @ r @ tm.Q
     lines = [f"# {comment}",
              f"scheme {problem.scheme_id} s={problem.s} m={problem.m} kind=split"]
     for row in rho:

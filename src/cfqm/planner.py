@@ -334,8 +334,12 @@ def measured_error(scheme, model, t0: float, h: float,
     The step is the one a plan costs: the split product for split schemes,
     the trotterized product for non-split schemes.  It is measured against
     :func:`cfqm.propagators.reference_propagator` at ``reference_tol``,
-    whose :class:`ReferenceConvergenceError` propagates.
+    whose :class:`ReferenceConvergenceError` propagates.  A t0 whose float
+    grid shifts t0 + h by more than ``reference_tol`` raises ValueError.
     """
+    if abs((t0 + h) - t0 - h) > reference_tol:
+        raise ValueError(f"start time t0={t0} cannot hold a step h={h}: "
+                         f"the window is {(t0 + h) - t0} long")
     ref = propagators.reference_propagator(model, t0, t0 + h, reference_tol)
     if scheme.is_split:
         step = propagators.split_step(scheme, model, t0, h)
@@ -398,28 +402,28 @@ def validate(scheme_ids, seed: int, n: int, samples: int,
     loaded = [schemes.load_scheme(scheme_id) for scheme_id in scheme_ids]
     model = spin_model.random_model(n, seed=seed)
     mb = ModelBounds(c=spin_model.TAYLOR_BOUND_C, n=n)
-    reports = []
-    for scheme in loaded:
-        cbar = schemes.compute_cbar(scheme, mb.c)
-        rng = np.random.default_rng(seed)
-        rows = []
-        for _ in range(samples):
-            t0 = rng.uniform(*_VALIDATE_T0_RANGE)
-            h = rng.uniform(*_VALIDATE_H_RANGE)
+    cbars = [schemes.compute_cbar(scheme, mb.c) for scheme in loaded]
+    rows = [[] for _ in loaded]
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        t0 = rng.uniform(*_VALIDATE_T0_RANGE)
+        h = rng.uniform(*_VALIDATE_H_RANGE)
+        for scheme, cbar, scheme_rows in zip(loaded, cbars, rows):
             try:
                 bd = _breakdown_at(scheme, mb, cbar, h)
             except DivergentRegimeError:
-                rows.append(ValidationRow(t0, h, None, None, "guard"))
+                scheme_rows.append(ValidationRow(t0, h, None, None, "guard"))
                 continue
             try:
                 measured = measured_error(scheme, model, t0, h,
                                           _VALIDATE_REFERENCE_TOL)
             except ReferenceConvergenceError:
-                rows.append(ValidationRow(t0, h, None, bd.total, "no-reference"))
+                scheme_rows.append(ValidationRow(t0, h, None, bd.total, "no-reference"))
                 continue
             status = "ok" if measured <= bd.total else "violated"
-            rows.append(ValidationRow(t0, h, measured, bd.total, status))
-        reports.append(ValidationReport(scheme.scheme_id, tuple(rows)))
+            scheme_rows.append(ValidationRow(t0, h, measured, bd.total, status))
+    reports = [ValidationReport(scheme.scheme_id, tuple(scheme_rows))
+               for scheme, scheme_rows in zip(loaded, rows)]
     _write_csv(out, VALIDATE_COLUMNS,
                ([report.scheme_id, row.t0, row.h, row.measured, row.bound,
                  row.ratio, row.status]

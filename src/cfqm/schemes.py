@@ -19,9 +19,9 @@ connected by
     x = y @ T,        T[g, j] = (1 - (-1)^(g+j)) / ((g+j) 2^(g+j)),
     z = y @ Q,        Q[g, k] = w_k c_k^g / 2^(g+1),
 
-so that R = T^{-1} maps graded to averaged coefficients and ``R @ Q @ 1 = e_1``
-(the quadrature rule integrates the constant exactly).  Scheme files store the
-y coefficients; z is derived on load.
+so that T^{-1} maps graded to averaged coefficients and
+``T^{-1} @ Q @ 1 = e_1`` (the quadrature rule integrates the constant
+exactly).  Scheme files store the y coefficients; z is derived on load.
 
 Split schemes alternate exponentials of two self-commuting parts T(t), V(t)
 of the generator,
@@ -51,45 +51,27 @@ _ANTISYMMETRY_ATOL = 1e-10
 
 def t_matrix(s: int, jmax: int | None = None) -> np.ndarray:
     """Matrix T[g, j] connecting averaged to graded coefficients, shape
-    (s, jmax) with rows g = 0..s-1 and columns j = 1..jmax (default jmax=s)."""
+    (s, jmax) with rows g = 0..s-1 and columns j = 1..jmax (default jmax=s),
+    each entry an exact integer quotient rounded once to float."""
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    if jmax is None:
-        jmax = s
-    out = np.zeros((s, jmax))
-    for g in range(s):
-        for j in range(1, jmax + 1):
-            out[g, j - 1] = _t_entry(g, j)
-    return out
-
-
-def _t_entry(g: int, j: int) -> float:
-    return (1 - (-1) ** (g + j)) / ((g + j) * 2 ** (g + j))
-
-
-def gauss_legendre(s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the s-point Gauss-Legendre rule on [-1, 1].
-
-    The rule integrates monomials up to degree 2s - 1 exactly, the property
-    every downstream identity relies on; the tests pin it to 1e-13 for
-    s = 1..6.
-    """
-    if not 1 <= s <= 6:
-        raise ValueError(f"s must be in 1..6, got {s}")
-    return np.polynomial.legendre.leggauss(s)
+    jmax = s if jmax is None else jmax
+    return np.array([[(1 - (-1) ** (g + j)) / ((g + j) * 2 ** (g + j))
+                      for j in range(1, jmax + 1)] for g in range(s)])
 
 
 @dataclass(frozen=True, eq=False)
 class TransformMatrices:
-    """The three coefficient maps for a given s, built once and cached.
+    """The coefficient maps for a given s, built once and cached.
 
-    T maps averaged -> graded, R = T^{-1}, Q maps averaged -> quadrature
-    (already carrying the w_k c_k^g / 2^(g+1) scaling).
+    T maps averaged -> graded, Q maps averaged -> quadrature (already
+    carrying the w_k c_k^g / 2^(g+1) scaling).  ``nodes`` and ``weights``
+    are the s-point Gauss-Legendre rule on [-1, 1]; it integrates monomials
+    up to degree 2s - 1 exactly, which every downstream identity relies on.
     """
 
     s: int
     T: np.ndarray
-    R: np.ndarray
     Q: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
@@ -97,21 +79,10 @@ class TransformMatrices:
 
 @lru_cache(maxsize=8)
 def transform_matrices(s: int) -> TransformMatrices:
-    t = t_matrix(s)
-    r = np.linalg.inv(t)
-    nodes, weights = gauss_legendre(s)
+    nodes, weights = np.polynomial.legendre.leggauss(s)
     q = np.array([[weights[k] * nodes[k] ** g / 2 ** (g + 1)
                    for k in range(s)] for g in range(s)])
-    return TransformMatrices(s=s, T=t, R=r, Q=q, nodes=nodes, weights=weights)
-
-
-def xbar(y_row: np.ndarray, j: int) -> float:
-    """Extended-basis coefficient xbar_j = sum_g y_g T[g, j] for one row,
-    defined for every j >= 1 (not only j <= s)."""
-    if j < 1:
-        raise ValueError(f"j must be >= 1, got {j}")
-    row = np.asarray(y_row, dtype=float).ravel()
-    return float(sum(row[g] * _t_entry(g, j) for g in range(row.size)))
+    return TransformMatrices(s=s, T=t_matrix(s), Q=q, nodes=nodes, weights=weights)
 
 
 def compute_cbar(scheme: "CFQMScheme", c: float) -> float:

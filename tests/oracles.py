@@ -16,7 +16,7 @@ runs the product formula with dense d x d exponentials of the split
 parts, :func:`dense_reference_propagator` composes and extrapolates dense
 d x d midpoint micro-steps exponentiated by ``eigh``, and
 :func:`scalar_compute_cbar` scans the xbar coefficients one (i, j) at a
-time: the routes the runtime's
+time from exact integer quotients: the routes the runtime's
 weight-built sector exponents, local gates, sector blocks, Taylor
 exponentials and vectorised scan replace.  :func:`doubling_plan_search`
 is the planner's step-count search before its exponent search: doubling
@@ -51,7 +51,6 @@ from cfqm.propagators import (
     _tree_product,
     node_times,
 )
-from cfqm.schemes import xbar
 
 
 @lru_cache(maxsize=1)
@@ -253,6 +252,17 @@ def doubling_plan_search(scheme, model_bounds, total_time: float,
     return r, best
 
 
+def scalar_xbar(row, j: int) -> float:
+    """xbar_j = sum_g y_g T[g, j] for one row, any j >= 1, with each
+    T[g, j] = (1 - (-1)^k) / (k 2^k), k = g + j, an exact integer quotient
+    and the products summed left to right."""
+    total = 0.0
+    for g, y in enumerate(row):
+        k = g + j
+        total += float(y) * ((1 - (-1) ** k) / (k * 2 ** k))
+    return total
+
+
 def scalar_compute_cbar(scheme, c: float) -> float:
     """cbar = c * max_{i,j} |xbar_{i,j}| by a scalar scan over j = 1..4s,
     extended by doubling until the tail bound (2^(1-j)/j) max_i sum_g
@@ -265,7 +275,7 @@ def scalar_compute_cbar(scheme, c: float) -> float:
     while True:
         for j in range(j_scanned + 1, j_limit + 1):
             for i in range(rows.shape[0]):
-                best = max(best, abs(xbar(rows[i], j)))
+                best = max(best, abs(scalar_xbar(rows[i], j)))
         j_scanned = j_limit
         if 2.0 ** (1 - (j_scanned + 1)) / (j_scanned + 1) * biggest_row <= best:
             break

@@ -364,3 +364,21 @@ def test_cli_options_are_pinned():
                         if opt not in ("-h", "--help"))
            for name, sub in subparsers.choices.items()}
     assert got == CLI_OPTIONS
+
+
+@pytest.mark.parametrize("start", ["1e12", "1e300"])
+def test_verify_order_rejects_a_start_time_the_float_grid_cannot_hold(
+        monkeypatch, capsys, start):
+    # t0 + h rounds so far from h that no reference could be certified
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference work before the start-time check")
+
+    monkeypatch.setattr(propagators, "reference_propagator", no_reference)
+    rc = cli.main(["verify-order", "--scheme", "CF4-2", "--spins", "3",
+                   "--seed", "1", "--time", start])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: ValueError: start time t0={float(start)} ")

@@ -288,6 +288,41 @@ def test_validate_bounds_hold_at_desk_scale(tmp_path):
         [line.split(",")[1:3] for line in lines[5:]]
 
 
+def test_validate_builds_each_reference_once(monkeypatch, tmp_path):
+    # a reference memo of one entry still serves every scheme at a sample,
+    # so two schemes cost exactly the midpoint products of one
+    monkeypatch.setattr(propagators, "_REFERENCE_CACHE_LIMIT", 1)
+    builds = []
+    midpoint_product = propagators._midpoint_product
+
+    def counting(*args):
+        builds.append(args[1:])
+        return midpoint_product(*args)
+
+    monkeypatch.setattr(propagators, "_midpoint_product", counting)
+    counts = []
+    for scheme_ids in (["CF2-1"], ["CF2-1", "CF4-2"]):
+        monkeypatch.setattr(propagators, "_REFERENCE_CACHE", {})
+        builds.clear()
+        validate(scheme_ids, seed=7, n=2, samples=3, out=tmp_path / "x.csv")
+        counts.append(len(builds))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
+def test_measured_error_rejects_a_start_time_the_float_grid_cannot_hold(
+        monkeypatch):
+    def no_reference(*args, **kwargs):
+        raise AssertionError("reference work before the start-time check")
+
+    monkeypatch.setattr(propagators, "reference_propagator", no_reference)
+    model = spin_model.random_model(2, seed=1)
+    for t0 in (1e8, 1e12, 1e300):
+        detail = re.escape(f"t0={t0} cannot hold a step h=0.3")
+        with pytest.raises(ValueError, match=detail):
+            measured_error(_scheme("CF4-2"), model, t0, 0.3, 1e-12)
+
+
 def test_validate_input_validation(tmp_path):
     with pytest.raises(ValueError):
         validate(["CF2-1"], seed=0, n=9, samples=2, out=tmp_path / "x")

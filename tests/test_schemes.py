@@ -1,6 +1,7 @@
 """Coefficient transforms and scheme data files."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +13,10 @@ from cfqm.errors import DataIntegrityError, SchemeLookupError
 from cfqm.schemes import (
     SCHEME_IDS,
     compute_cbar,
-    gauss_legendre,
     load_scheme,
     parse_scheme_text,
     t_matrix,
     transform_matrices,
-    xbar,
 )
 from oracles import scalar_compute_cbar
 
@@ -38,10 +37,32 @@ def test_t_matrix_frozen_values():
         np.array([1.0, 0.0, 1.0 / 12.0, 0.0, 1.0 / 80.0]))
 
 
+def test_t_matrix_bits_match_exact_quotients():
+    # every entry is the correctly rounded rational (1 - (-1)^k) / (k 2^k),
+    # k = g + j, over the extended columns that compute_cbar scans
+    for s in range(1, 7):
+        jmax = 64 * s
+        exact = np.array([[float(Fraction(1 - (-1) ** (g + j), (g + j) * 2 ** (g + j)))
+                           for j in range(1, jmax + 1)] for g in range(s)])
+        assert t_matrix(s, jmax).tobytes() == exact.tobytes(), s
+        assert t_matrix(s).tobytes() == exact[:, :s].tobytes(), s
+        assert transform_matrices(s).T.tobytes() == exact[:, :s].tobytes(), s
+
+
+def test_t_matrix_tail_envelope():
+    # |T[g, j]| <= 2^(1-j)/j for every g, the envelope behind compute_cbar's
+    # certified tail bound; it holds exactly, with no rounding slack
+    for s in range(1, 7):
+        t = t_matrix(s, 64 * s)
+        j = np.arange(1, 64 * s + 1)
+        assert np.all(np.abs(t) <= 2.0 ** (1 - j) / j), s
+
+
 def test_inverse_transform_frozen_values():
-    r2 = transform_matrices(2).R
+    # the graded -> averaged map T^{-1} used by the derivation script
+    r2 = np.linalg.inv(transform_matrices(2).T)
     assert r2 == pytest.approx(np.diag([1.0, 12.0]))
-    r3 = transform_matrices(3).R
+    r3 = np.linalg.inv(transform_matrices(3).T)
     want = np.array([
         [2.25, 0.0, -15.0],
         [0.0, 12.0, 0.0],
@@ -62,24 +83,24 @@ def test_transform_invariants_all_orders():
     for s in range(1, 7):
         tm = transform_matrices(s)
         _assert_exact_moments(s, tm.nodes, tm.weights)
-        assert tm.R @ tm.T == pytest.approx(np.eye(s), abs=1e-12)
+        r = np.linalg.inv(tm.T)
+        assert r @ tm.T == pytest.approx(np.eye(s), abs=1e-12)
         assert tm.Q @ np.ones(s) == pytest.approx(tm.T[:, 0], abs=1e-13)
-        # R Q 1 = e_1: quadrature of the plain average recovers alpha_1
-        assert tm.R @ tm.Q @ np.ones(s) == pytest.approx(
+        # T^{-1} Q 1 = e_1: quadrature of the plain average recovers alpha_1
+        assert r @ tm.Q @ np.ones(s) == pytest.approx(
             np.eye(s)[0], abs=1e-9)
 
 
 def test_gauss_legendre_frozen_nodes():
-    for s in range(1, 7):
-        _assert_exact_moments(s, *gauss_legendre(s))
-    nodes, weights = gauss_legendre(2)
-    assert nodes == pytest.approx([-1 / SQ3, 1 / SQ3])
-    assert weights == pytest.approx([1.0, 1.0])
-    nodes3, weights3 = gauss_legendre(3)
-    assert nodes3 == pytest.approx([-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5)])
-    assert weights3 == pytest.approx([5 / 9, 8 / 9, 5 / 9])
-    with pytest.raises(ValueError):
-        gauss_legendre(7)
+    tm2 = transform_matrices(2)
+    assert tm2.nodes == pytest.approx([-1 / SQ3, 1 / SQ3])
+    assert tm2.weights == pytest.approx([1.0, 1.0])
+    tm3 = transform_matrices(3)
+    assert tm3.nodes == pytest.approx([-math.sqrt(3 / 5), 0.0, math.sqrt(3 / 5)])
+    assert tm3.weights == pytest.approx([5 / 9, 8 / 9, 5 / 9])
+    # the rules stop at s = 6: a scheme file asking for more is rejected
+    with pytest.raises(DataIntegrityError, match="implausible sizes"):
+        parse_scheme_text("scheme X s=7 m=1 kind=non-split\ny" + " 0" * 7 + "\n")
 
 
 def test_quadrature_matrix_entries():
@@ -101,12 +122,10 @@ def test_z_from_y_matches_literature_fourth_order():
 
 
 def test_xbar_known_values():
-    assert xbar([1.0], 1) == pytest.approx(1.0)
-    assert xbar([1.0], 2) == 0.0
-    assert xbar([1.0], 3) == pytest.approx(1.0 / 12.0)
+    # extended-basis coefficients xbar_j = sum_g y_g T[g, j]
+    assert (np.array([1.0]) @ t_matrix(1, 3)).tolist() == [1.0, 0.0, 1.0 / 12.0]
     # CF4-2 first row in the graded basis: x = (1/2, 1/6)
-    assert xbar([0.5, 2.0], 1) == pytest.approx(0.5)
-    assert xbar([0.5, 2.0], 2) == pytest.approx(1.0 / 6.0)
+    assert np.array([0.5, 2.0]) @ t_matrix(2) == pytest.approx([0.5, 1.0 / 6.0])
 
 
 @given(st.lists(st.floats(-4, 4, allow_nan=False), min_size=1, max_size=4),
@@ -115,14 +134,15 @@ def test_xbar_known_values():
 def test_xbar_tail_envelope(row, j):
     # |T[g, j]| <= 2^(1-j)/j for every g, hence the certified tail bound
     # used when maximizing over the extended basis
-    assert abs(xbar(row, j)) <= 2.0 ** (1 - j) / j * sum(abs(v) for v in row) + 1e-12
+    xbar_j = (np.array(row) @ t_matrix(len(row), j))[-1]
+    assert abs(xbar_j) <= 2.0 ** (1 - j) / j * sum(abs(v) for v in row) + 1e-12
 
 
 def test_compute_cbar_frozen():
     assert compute_cbar(load_scheme("CF2-1"), 1.0) == pytest.approx(1.0)
     assert compute_cbar(load_scheme("CF4-2"), 1.0) == pytest.approx(0.5)
     assert compute_cbar(load_scheme("CF4-2"), 2.0) == pytest.approx(1.0)
-    # the vectorised scan agrees bit for bit with the scalar xbar scan
+    # the vectorised scan agrees bit for bit with an independent scalar scan
     for scheme_id in SCHEME_IDS:
         scheme = load_scheme(scheme_id)
         for c in (0.1, 0.5, 1.0, 1.7, 3.0):
