@@ -157,22 +157,22 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
          epsilon: float) -> Plan:
     """Minimal-step plan meeting ``r * step_bound(T/r) <= epsilon``.
 
-    The global bound is T f(h)/h for h = T/r and a positive series f of
-    lowest power h^3 or higher, so it falls at least 4x per doubling of r,
-    far beyond the tail sums' stopping-rule error, and every convergence
-    guard (a failed one counts as infeasible) is monotone in h.  So probing
-    r = 1 (tiny T plan there, before any h can underflow), then r = 2**32
-    (it alone decides infeasibility), then exponents strictly inside the
-    bracket of powers of two seen finds the first feasible power of two
-    2**k, where doubling from r = 1 stops, and bisecting (2**(k-1), 2**k]
-    gives the doubling search's plans and errors.  Each exponent is a guess
-    from one anchor, the last probe with a finite bound g, feasible or not:
-    the global bound of an order-2s scheme falls as r**(-2s), so it meets
-    epsilon near floor(j + (log2 g - log2 epsilon) / (2s)).  The guess
-    decides only the cost, never the plan.  Non-finite or non-positive
-    ``total_time`` and ``epsilon`` raise ValueError; the
-    :class:`InfeasiblePlanError` of a budget no r <= 2**32 meets tells it
-    from guards that never engaged.
+    The global bound is g(r) = T f(h)/h for h = T/r and a positive series
+    f whose lowest power is h^(s+2) (the quadrature term h^(2s+1)/h^gamma,
+    gamma <= s-1; every other term starts at h^(2s+1)).  So g(r) r^(s+1)
+    does not rise with r, log g is convex in log r, and every guard (a
+    failed one counts as infeasible) is monotone in h: a search that keeps
+    lo infeasible and r feasible until r - lo = 1 returns the doubling
+    search's plans and errors.  After r = 1 (tiny T plan there, before T/r
+    can underflow) and r = 2**32 (it alone decides infeasibility), it
+    probes where the chord of log g through both ends meets log epsilon,
+    rounded up (feasible, as the chord lies above log g); while lo has
+    tripped a guard, where g(r) (r/x)^(s+1) <= g(x) meets epsilon, rounded
+    down; and after two probes that did not halve (lo, r], or where g at
+    lo is subnormal or overflows, the middle, in log r while r > 4 lo.
+    Non-finite or non-positive ``total_time`` and ``epsilon`` raise
+    ValueError; the :class:`InfeasiblePlanError` of a budget no
+    r <= 2**32 meets tells it from guards that never engaged.
     """
     require_finite(total_time=total_time, epsilon=epsilon)
     require_positive(total_time=total_time, epsilon=epsilon)
@@ -184,42 +184,35 @@ def plan(scheme, model_bounds: ModelBounds, total_time: float,
         except DivergentRegimeError:
             return None
 
-    # the minimal feasible count lies in (lo, r] once r is feasible, and
-    # best is the breakdown at r
+    # lo is infeasible with bound g_lo (None past a guard), r feasible
     lo, r = 0, 1
     if (best := attempt(1)) is None or best.total > epsilon:
-        j_lo, j_hi = 0, MAX_STEPS.bit_length() - 1
-        if (best := attempt(2 ** j_hi)) is None:
+        g_lo = None if best is None else best.total
+        if (best := attempt(MAX_STEPS)) is None:
             raise InfeasiblePlanError(
                 f"no step count up to 2**32 brings h = {total_time}/r inside "
                 f"the convergence guards (c={model_bounds.c}); the bound "
                 "series diverge everywhere on this range")
-        if 2 ** j_hi * best.total > epsilon:
+        if MAX_STEPS * best.total > epsilon:
             raise InfeasiblePlanError(
                 f"no step count up to 2**32 meets epsilon={epsilon} for scheme "
                 f"{scheme.scheme_id} at T={total_time}")
-        # 2**j_lo is infeasible, 2**j_hi feasible; probe between them where
-        # the global bound g of the last finite probe, extrapolated as
-        # r**(-2s), meets epsilon
-        j_g, g = j_hi, 2 ** j_hi * best.total
-        while j_hi - j_lo > 1:
-            y = math.log2(min(g or 5e-324, 1e308))
-            guess = math.floor(j_g + (y - math.log2(epsilon)) / (2 * scheme.s))
-            j = min(max(guess, j_lo + 1), j_hi - 1)
-            if (bd := attempt(2 ** j)) is not None:
-                j_g, g = j, 2 ** j * bd.total
-            if bd is not None and g <= epsilon:
-                j_hi, best = j, bd
-            else:
-                j_lo = j
-        lo, r = 2 ** (j_hi - 1), 2 ** j_hi
+        lo, r, stalls, log_eps = 1, MAX_STEPS, 0, math.log(epsilon)
     while r - lo > 1:
-        mid = (lo + r) // 2
-        bd = attempt(mid)
-        if bd is not None and mid * bd.total <= epsilon:
-            r, best = mid, bd
+        y = math.log(r * best.total or 5e-324)
+        if stalls < 2 and g_lo is None:
+            x = math.floor(r * math.exp((y - log_eps) / (scheme.s + 1)))
+        elif (stalls < 2 and 2.0 ** -1022 <= g_lo < math.inf
+              and (y_lo := math.log(g_lo)) > y):
+            x = math.ceil(lo * (r / lo) ** ((y_lo - log_eps) / (y_lo - y)))
         else:
-            lo = mid
+            x = math.isqrt(lo * r) if r > 4 * lo else (lo + r) // 2
+        x, width = min(max(x, lo + 1), r - 1), r - lo
+        if (bd := attempt(x)) is not None and x * bd.total <= epsilon:
+            r, best = x, bd
+        else:
+            lo, g_lo = x, None if bd is None else x * bd.total
+        stalls = 0 if stalls >= 2 or 2 * (r - lo) <= width else stalls + 1
     assert r * best.total <= epsilon
     return Plan(
         scheme_id=scheme.scheme_id,
@@ -327,6 +320,12 @@ def sweep(axis: str, grid, scheme_ids, out, *, total_time: float | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _require_window(t0: float, h: float, reference_tol: float) -> None:
+    if abs((t0 + h) - t0 - h) > reference_tol:
+        raise ValueError(f"start time t0={t0} cannot hold a step h={h}: "
+                         f"the window is {(t0 + h) - t0} long")
+
+
 def measured_error(scheme, model, t0: float, h: float,
                    reference_tol: float) -> float:
     """Spectral-norm error of one step of ``scheme`` on [t0, t0 + h].
@@ -337,9 +336,7 @@ def measured_error(scheme, model, t0: float, h: float,
     whose :class:`ReferenceConvergenceError` propagates.  A t0 whose float
     grid shifts t0 + h by more than ``reference_tol`` raises ValueError.
     """
-    if abs((t0 + h) - t0 - h) > reference_tol:
-        raise ValueError(f"start time t0={t0} cannot hold a step h={h}: "
-                         f"the window is {(t0 + h) - t0} long")
+    _require_window(t0, h, reference_tol)
     ref = propagators.reference_propagator(model, t0, t0 + h, reference_tol)
     if scheme.is_split:
         step = propagators.split_step(scheme, model, t0, h)
@@ -446,8 +443,8 @@ def verify_order(scheme, model, h_grid, t0: float = 0.0) -> float:
     slope of log(error) against log(h) is fit by least squares.  Raises
     :class:`GridTooFineError` when any error sits below 1e-13 (roundoff
     floor, no slope is trustworthy) and :class:`AsymptoticRegimeError` when
-    the errors fail to increase monotonically with h.  A non-finite ``t0``
-    or step size raises ValueError before any matrix is built.
+    the errors fail to increase monotonically with h.  Bad ``t0`` or step
+    sizes raise ValueError before any matrix is built.
     """
     hs = np.sort(np.asarray(h_grid, dtype=float))
     require_finite(t0=t0)
@@ -457,6 +454,8 @@ def verify_order(scheme, model, h_grid, t0: float = 0.0) -> float:
         raise ValueError("need at least two grid points")
     if hs[0] <= 0:
         raise ValueError("step sizes must be positive")
+    for h in hs:  # every window is checked before any reference is built
+        _require_window(t0, h, _VERIFY_ORDER_REFERENCE_TOL)
     errs = np.array([measured_error(scheme, model, t0, h,
                                     _VERIFY_ORDER_REFERENCE_TOL) for h in hs])
     if errs.min() < 1e-13:

@@ -19,8 +19,9 @@ d x d midpoint micro-steps exponentiated by ``eigh``, and
 time from exact integer quotients: the routes the runtime's
 weight-built sector exponents, local gates, sector blocks, Taylor
 exponentials and vectorised scan replace.  :func:`doubling_plan_search`
-is the planner's step-count search before its exponent search: doubling
-r from 1, then bisecting.  None of this is used at run time.
+is the planner's first step-count search, doubling r from 1 and then
+bisecting: the reference every plan is compared against.  None of this is
+used at run time.
 
 A *composition* of p >= 1 is an ordered tuple of positive integers summing
 to p; there are 2**(p-1) of them.  A *weak composition* of d into m parts
@@ -214,8 +215,8 @@ def doubling_plan_search(scheme, model_bounds, total_time: float,
                          epsilon: float):
     """(r, breakdown) of the minimal feasible step count, found by doubling
     r from 1 until feasible and then bisecting the last doubling: the
-    search :func:`cfqm.planner.plan` ran before it located the power-of-two
-    bracket by an exponent search.  Raises the same
+    reference :func:`cfqm.planner.plan` must agree with, plan, breakdown
+    and error, whatever it probes.  Raises the same
     :class:`InfeasiblePlanError` messages."""
     cbar = schemes.compute_cbar(scheme, model_bounds.c)
 

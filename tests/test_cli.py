@@ -366,10 +366,14 @@ def test_cli_options_are_pinned():
     assert got == CLI_OPTIONS
 
 
-@pytest.mark.parametrize("start", ["1e12", "1e300"])
+@pytest.mark.parametrize("start", ["1e12", "1e300", "2e4"])
 def test_verify_order_rejects_a_start_time_the_float_grid_cannot_hold(
         monkeypatch, capsys, start):
-    # t0 + h rounds so far from h that no reference could be certified
+    # t0 + h rounds so far from h that no reference could be certified; at
+    # 2e4 the default grid's h = 0.3 still fits, but h = 0.3708 is rejected
+    # before the h = 0.3 reference is built
+    first_rejected = {"1e12": "0.3:", "1e300": "0.3:", "2e4": "0.3707"}
+
     def no_reference(*args, **kwargs):
         raise AssertionError("reference work before the start-time check")
 
@@ -381,4 +385,6 @@ def test_verify_order_rejects_a_start_time_the_float_grid_cannot_hold(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: ValueError: start time t0={float(start)} ")
+    assert lines[0].startswith(f"error: ValueError: start time t0={float(start)} "
+                               f"cannot hold a step h={first_rejected[start]}")
+

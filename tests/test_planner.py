@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from cfqm import planner, propagators, schemes, spin_model
-from cfqm.errors import AsymptoticRegimeError, GridTooFineError, InfeasiblePlanError
+from cfqm.errors import (
+    AsymptoticRegimeError,
+    DivergentRegimeError,
+    GridTooFineError,
+    InfeasiblePlanError,
+)
 from cfqm.planner import (
     ModelBounds,
     measured_error,
@@ -102,9 +107,6 @@ def test_plan_reports_divergence():
     assert "diverge" in str(err.value)
 
 
-_DOUBLING = [2 ** k for k in range(33)]
-
-
 def _recording(monkeypatch):
     """Record the h of every bound evaluation plan (or the oracle) spends."""
     seen = []
@@ -118,46 +120,45 @@ def _recording(monkeypatch):
     return seen
 
 
-# probes: (the head plan probes before the bisection, the bisection that
-# the doubling search it replaced ran too)
+# probes: every r plan scores, in order.  After r = 1 and r = 2**32 the
+# loop interpolates log g between finite ends (rounded up), extrapolates
+# from r at slope s + 1 while lo is past a guard (rounded down), and
+# bisects (in log r while r > 4 lo) after two probes that did not halve
+# the bracket
 @pytest.mark.parametrize("scheme_id, total_time, n, epsilon, probes, outcome", [
+    # r = 1 past a guard: extrapolation to 29018, then interpolation, and
+    # the linear bisection 42072 after 55217 and 55126
     ("CF4-2", 1024.0, 128, 1e-3,
-     ([1, 2 ** 32, 2 ** 19, 2 ** 16, 2 ** 15],
-      [49152, 57344, 53248, 55296, 54272, 54784, 55040, 55168, 55104, 55136,
-       55120, 55128, 55124, 55126, 55125]),
-     55125),
+     [1, 2 ** 32, 29018, 63522, 55217, 55126, 42072, 55125, 55124], 55125),
+    # r = 1 past a guard: extrapolation to 10, then bisections at 56 and
+    # 122 (in log r) among the interpolations
     ("GS10-6", 4.0, 4, 1e-2,
-     ([1, 2 ** 32, 2 ** 12, 2 ** 8, 2 ** 9],
-      [384, 320, 288, 272, 264, 268, 266, 265]),
-     266),
-    ("CF2-1", 1.0, 4, 1e-30, ([1, 2 ** 32], []), "meets epsilon"),
-    ("CF2-1", float(2 ** 34), 4, 1e-3, ([1, 2 ** 32], []), "diverge"),
+     [1, 2 ** 32, 10, 5784, 699, 393, 315, 56, 267, 266, 122, 265], 266),
+    ("CF2-1", 1.0, 4, 1e-30, [1, 2 ** 32], "meets epsilon"),
+    ("CF2-1", float(2 ** 34), 4, 1e-3, [1, 2 ** 32], "diverge"),
+    # r = 1 feasible: nothing else is scored
+    ("CF4-2", 1e-3, 4, 1e-3, [1], 1),
+    # r = 1 finite but infeasible: interpolation from the first probe on
+    ("CF4-2", 0.5, 4, 1e-12, [1, 2 ** 32, 15204, 6174, 6163, 6162], 6163),
+    # interpolation from a finite r = 1 with one bisection, at
+    # isqrt(1 * 5940) = 77, after 5949 and 5940 did not halve (1, r]
+    ("CF2-1", 0.25, 4, 1e-9, [1, 2 ** 32, 6496, 5949, 5940, 77, 5939], 5940),
 ])
 def test_plan_probe_sequence_is_pinned(monkeypatch, scheme_id, total_time, n,
                                        epsilon, probes, outcome):
-    # the bound evaluations plan spends: r = 1, r = 2**32, the exponent
-    # search for the power-of-two bracket, then the bisection of the
-    # bracket, every h exactly T / r
-    head, bisection = probes
+    # both searches give the outcome, and plan, run last, spends exactly
+    # the pinned bound evaluations, every h exactly T / r
     seen = _recording(monkeypatch)
     args = (_scheme(scheme_id), ModelBounds(c=1.0, n=n), total_time, epsilon)
-    searches = {"plan": lambda: plan(*args).r,
-                "doubling": lambda: doubling_plan_search(*args)[0]}
-    recorded = {}
-    for name, search in searches.items():
+    for search in (lambda: doubling_plan_search(*args)[0],
+                   lambda: plan(*args).r):
         seen.clear()
         if isinstance(outcome, int):
             assert search() == outcome
         else:
             with pytest.raises(InfeasiblePlanError, match=outcome):
                 search()
-        recorded[name] = list(seen)
-    assert recorded["plan"] == [total_time / r for r in head + bisection]
-    # the doubling search probed 1, 2, ..., 2**k and then the same
-    # bisection, element for element
-    k = len(recorded["doubling"]) - len(bisection)
-    assert recorded["doubling"] == [total_time / r for r in _DOUBLING[:k] + bisection]
-    assert recorded["plan"][len(head):] == recorded["doubling"][k:]
+    assert seen == [total_time / r for r in probes]
 
 
 # the benchmark's plan-grid points: T at n = 128 and eps = 1e-3, eps at
@@ -169,14 +170,15 @@ _PLAN_GRID = ([(2.0 ** k, 128, 1e-3) for k in range(6, 17)]
 
 def test_plan_search_cost_is_pinned(monkeypatch):
     # bound evaluations over the 7 x 28 plan-grid points: 6696 with the
-    # doubling search, 4119 with the exponent search on a secant of the
-    # last two bounds, 4082 with its one-anchor guess; a search that spends
-    # more fails here before it shows in a benchmark
+    # doubling search, 4119 and 4082 with an exponent search for its
+    # power-of-two bracket followed by its bisection, 1550 with one
+    # bracketed search; a search that spends more fails here before it
+    # shows in a benchmark
     seen = _recording(monkeypatch)
     for scheme_id in schemes.SCHEME_IDS:
         for total_time, n, epsilon in _PLAN_GRID:
             plan(_scheme(scheme_id), ModelBounds(c=1.0, n=n), total_time, epsilon)
-    assert len(seen) == 4082
+    assert len(seen) == 1550
 
 
 def _outcome(search):
@@ -188,9 +190,11 @@ def _outcome(search):
 
 def test_plan_matches_the_doubling_search(monkeypatch):
     # 600 seeded points, a third with T down to 1e-320 and half with eps
-    # down to 1e-323: every plan, breakdown and error of the exponent
+    # down to 1e-323: every plan, breakdown and error of the bracketed
     # search is the doubling search's (about 0.3 s), and its cost is
-    # pinned, in total and for the worst plan, so a guess that walks fails
+    # pinned, in total and for the worst plan, so a probe rule that walks
+    # fails; the worst is GS6-4 at T = 2.2e-72, eps = 1.7e-321, where the
+    # bounds are subnormal and the loop bisects
     seen = _recording(monkeypatch)
     costs = []
     rng = np.random.default_rng(20261020)
@@ -213,7 +217,36 @@ def test_plan_matches_the_doubling_search(monkeypatch):
             assert found[0] is InfeasiblePlanError
             outcomes["diverge" if "diverge" in found[1] else "meets epsilon"] += 1
     assert min(outcomes.values()) >= 30, outcomes
-    assert (sum(costs), max(costs)) == (3160, 34)
+    assert (sum(costs), max(costs)) == (1642, 34)
+
+
+def test_feasibility_is_monotone_around_each_plan():
+    # plan may return its first feasible r only because feasibility never
+    # falls as r grows: check every r within 30 of 70 seeded answers
+    rng = np.random.default_rng(20261021)
+    plans = flips = 0
+    while plans < 70:
+        scheme = _scheme(schemes.SCHEME_IDS[plans % len(schemes.SCHEME_IDS)])
+        total_time = 10.0 ** rng.uniform(-3, 11)
+        epsilon = 10.0 ** rng.uniform(-20, 1)
+        mb = ModelBounds(c=1.0, n=round(10.0 ** rng.uniform(math.log10(2), 7)))
+        try:
+            found = plan(scheme, mb, total_time, epsilon).r
+        except InfeasiblePlanError:
+            continue
+        cbar = schemes.compute_cbar(scheme, mb.c)
+        feasible = []
+        for r in range(max(1, found - 30), min(planner.MAX_STEPS, found + 30) + 1):
+            try:
+                bd = planner._breakdown_at(scheme, mb, cbar, total_time / r)
+            except DivergentRegimeError:
+                feasible.append(False)
+                continue
+            feasible.append(r * bd.total <= epsilon)
+        flips += sum(a and not b for a, b in zip(feasible, feasible[1:]))
+        assert found == max(1, found - 30) + feasible.index(True)
+        plans += 1
+    assert flips == 0
 
 
 def test_suzuki_yardstick_vacuous_when_budget_exceeds_validity():
