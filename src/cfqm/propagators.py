@@ -42,8 +42,12 @@ from .errors import ReferenceConvergenceError, require_finite, require_positive
 
 #: Micro-steps per chunk of the reference propagator, as a budget of chunk
 #: * 4^n (at least 16 steps): each chunk is exponentiated as one stack and
-#: multiplied into the product, which is reunitarized once per chunk.
-_REFERENCE_CHUNK_BUDGET = 1 << 22
+#: multiplied into the product, which is reunitarized once per chunk.  The
+#: budget bounds the chunk's ``_expm`` working set, about 12 stacks of its
+#: sector blocks, which sets the reference's peak memory; n = 8 sits on the
+#: 16-step floor and n = 7 just above it at 32, where a larger chunk would
+#: only trade memory for fewer, already cheap, reunitarizations.
+_REFERENCE_CHUNK_BUDGET = 1 << 19
 
 #: Mesh-size cap for the reference propagator.
 _REFERENCE_MAX_STEPS = 2 ** 20
@@ -422,9 +426,10 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
     :class:`ReferenceConvergenceError`.
 
     Results are memoized by model data and window (order-condition checks
-    compare many schemes against the same reference); the returned array is
-    marked read-only because cache entries are shared.  A non-finite
-    ``t0``, ``t1`` or ``tol`` raises ValueError before any matrix work.
+    compare many schemes against the same reference).  The memo keeps the
+    converged sector blocks, not the dense matrix, and every call returns a
+    fresh dense array built from them.  A non-finite ``t0``, ``t1`` or
+    ``tol`` raises ValueError before any matrix work.
     """
     require_finite(t0=t0, t1=t1, tol=tol)
     if t1 <= t0:
@@ -433,7 +438,7 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
     key = (model.n, model.phases.tobytes(), model.freqs.tobytes(), t0, t1, tol)
     cached = _REFERENCE_CACHE.get(key)
     if cached is not None:
-        return cached
+        return spin_model.dense(model.n, cached)
     num_steps = 16
     u_prev = _midpoint_product(model, t0, t1, num_steps)
     ext_prev = None
@@ -449,9 +454,7 @@ def reference_propagator(model, t0: float, t1: float, tol: float = 1e-12) -> np.
         raise ReferenceConvergenceError(
             f"midpoint reference did not converge to {tol} within "
             f"{_REFERENCE_MAX_STEPS} steps on [{t0}, {t1}]")
-    result = spin_model.dense(model.n, ext)
-    result.setflags(write=False)
     while len(_REFERENCE_CACHE) >= _REFERENCE_CACHE_LIMIT:
         _REFERENCE_CACHE.pop(next(iter(_REFERENCE_CACHE)))
-    _REFERENCE_CACHE[key] = result
-    return result
+    _REFERENCE_CACHE[key] = ext
+    return spin_model.dense(model.n, ext)

@@ -187,11 +187,26 @@ def test_reunitarize_pulls_back_to_unitary():
     assert defect < 1e-15
 
 
-def test_reference_memoizes_and_midpoint_product_composes():
+def test_reference_memoizes_and_midpoint_product_composes(monkeypatch):
     model = random_model(2, seed=13)
+    monkeypatch.setattr(propagators, "_REFERENCE_CACHE", {})
+    builds = []
+    midpoint_product = propagators._midpoint_product
+
+    def counting(*args):
+        builds.append(args[1:])
+        return midpoint_product(*args)
+
+    monkeypatch.setattr(propagators, "_midpoint_product", counting)
     r1 = reference_propagator(model, 0.0, 0.3, tol=1e-10)
+    first = len(builds)
     r2 = reference_propagator(model, 0.0, 0.3, tol=1e-10)
-    assert r1 is r2
+    assert first > 0
+    assert len(builds) == first  # the second call is served by the memo
+    assert np.array_equal(r1, r2)
+    # each call returns its own array: writing into one leaves the memo intact
+    r1[...] = 0.0
+    assert np.array_equal(reference_propagator(model, 0.0, 0.3, tol=1e-10), r2)
     # two midpoint micro-steps compose right-to-left
     u = midpoint_dense(model, 0.1, 0.5, 2)
     h_mid = kron_generators(model, [1.0, 1.0],
@@ -243,18 +258,25 @@ def test_steps_reject_non_finite_inputs(monkeypatch, step, scheme_id, t0, h, det
     assert str(err.value) == detail
 
 
-def test_reference_memory_stays_on_sector_blocks(monkeypatch):
-    # the micro-step chunks are built as sector blocks: at n = 8 a dense
-    # (64, 256, 256) chunk alone would be 32 MB
-    model = random_model(8, seed=1)
-    monkeypatch.setattr(propagators, "_REFERENCE_CACHE", {})
+@pytest.mark.parametrize("n,cap", [(7, 8e6), (8, 12e6)])
+def test_reference_memory_stays_on_sector_blocks(monkeypatch, n, cap):
+    # the micro-step chunks are built as sector blocks, 16 steps at n = 8 and
+    # 32 at n = 7 (a dense (16, 256, 256) chunk alone would be 16 MB), and the
+    # memo keeps the converged blocks: C(2n, n) complex entries, no 2^n x 2^n
+    # array
+    model = random_model(n, seed=1)
+    memo = {}
+    monkeypatch.setattr(propagators, "_REFERENCE_CACHE", memo)
     tracemalloc.start()
     try:
         reference_propagator(model, 0.3, 0.5, tol=1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6, peak
+    assert peak < cap, peak
+    (entry,) = memo.values()
+    assert sum(block.nbytes for block in entry) == math.comb(2 * n, n) * 16
+    assert all(block.shape[-1] < 2 ** n for block in entry)
 
 
 def test_midpoint_rule_is_second_order():
