@@ -85,6 +85,7 @@ def transform_matrices(s: int) -> TransformMatrices:
     return TransformMatrices(s=s, T=t_matrix(s), Q=q, nodes=nodes, weights=weights)
 
 
+@lru_cache(maxsize=64)
 def compute_cbar(scheme: "CFQMScheme", c: float) -> float:
     """The constant cbar = c * max_{i,j} |xbar_{i,j}| entering the
     product-vs-truncation bound, maximized over all j >= 1.
@@ -92,7 +93,8 @@ def compute_cbar(scheme: "CFQMScheme", c: float) -> float:
     The scan covers j = 1..jmax with jmax = 4s, doubled until the analytic
     tail bound |xbar_{i,j}| <= (2^(1-j)/j) max_i sum_g |y_{i,g}| for every
     j > jmax drops below the current maximum, so the result is certified
-    rather than truncated.
+    rather than truncated.  Results are cached per (scheme, c); the cache is
+    bounded because :func:`parse_scheme_text` makes a new scheme per call.
     """
     require_positive(c=c)
     if scheme.is_split:
