@@ -43,10 +43,11 @@ from .errors import ReferenceConvergenceError, require_finite, require_positive
 #: Micro-steps per chunk of the reference propagator, as a budget of chunk
 #: * 4^n (at least 16 steps): each chunk is exponentiated as one stack and
 #: multiplied into the product, which is reunitarized once per chunk.  The
-#: budget bounds the chunk's ``_expm`` working set, about 12 stacks of its
-#: sector blocks, which sets the reference's peak memory; n = 8 sits on the
-#: 16-step floor and n = 7 just above it at 32, where a larger chunk would
-#: only trade memory for fewer, already cheap, reunitarizations.
+#: budget bounds the chunk's ``_expm`` working set, about 12 stacks of the
+#: chunk's sector blocks, which sets the reference's peak memory.  It puts
+#: n = 8 on the 16-step floor and n = 7 at 32 steps: there a larger chunk
+#: only saves per-chunk products on small blocks, which cost less time than
+#: its working set did.
 _REFERENCE_CHUNK_BUDGET = 1 << 19
 
 #: Mesh-size cap for the reference propagator.

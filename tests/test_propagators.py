@@ -258,25 +258,24 @@ def test_steps_reject_non_finite_inputs(monkeypatch, step, scheme_id, t0, h, det
     assert str(err.value) == detail
 
 
-@pytest.mark.parametrize("n,cap", [(7, 8e6), (8, 12e6)])
-def test_reference_memory_stays_on_sector_blocks(monkeypatch, n, cap):
+def test_reference_memory_stays_on_sector_blocks(monkeypatch):
     # the micro-step chunks are built as sector blocks, 16 steps at n = 8 and
     # 32 at n = 7 (a dense (16, 256, 256) chunk alone would be 16 MB), and the
-    # memo keeps the converged blocks: C(2n, n) complex entries, no 2^n x 2^n
-    # array
-    model = random_model(n, seed=1)
-    memo = {}
-    monkeypatch.setattr(propagators, "_REFERENCE_CACHE", memo)
-    tracemalloc.start()
-    try:
-        reference_propagator(model, 0.3, 0.5, tol=1e-9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cap, peak
-    (entry,) = memo.values()
-    assert sum(block.nbytes for block in entry) == math.comb(2 * n, n) * 16
-    assert all(block.shape[-1] < 2 ** n for block in entry)
+    # memo keeps the converged blocks: C(2n, n) complex entries (205,920
+    # bytes at n = 8), no 2^n x 2^n array
+    for n, cap in ((7, 8e6), (8, 12e6)):
+        memo = {}
+        monkeypatch.setattr(propagators, "_REFERENCE_CACHE", memo)
+        tracemalloc.start()
+        try:
+            reference_propagator(random_model(n, seed=1), 0.3, 0.5, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cap, (n, peak)
+        (entry,) = memo.values()
+        assert sum(block.nbytes for block in entry) == math.comb(2 * n, n) * 16
+        assert all(block.shape[-1] < 2 ** n for block in entry)
 
 
 def test_midpoint_rule_is_second_order():
