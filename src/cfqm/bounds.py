@@ -14,7 +14,8 @@ split bounds).  Four sources of error are kept separate:
                             two-site blocks of a spin chain.
 
 Tail sums share one stopping rule (see :func:`cfqm.series_core.sum_tail`):
-stop once the current term is below ``rel_tol`` times the running sum and
+stop once the current term is below ``rel_tol`` (1e-6, which only
+:func:`step_error` lets a caller change) times the running sum and
 terms have decreased three orders in a row.  Step sizes outside a bound's
 convergence region raise :class:`~cfqm.errors.DivergentRegimeError` rather
 than returning a number that means nothing.
@@ -84,7 +85,7 @@ def _magnus_table(c: float) -> _MagnusCoefficients:
     return _MagnusCoefficients(c)
 
 
-def magnus_remainder(c: float, h: float, s: int, rel_tol: float = 1e-6) -> float:
+def magnus_remainder(c: float, h: float, s: int) -> float:
     """Bound on the norm distance between exp(Omega) and exp(Omega^[2s]).
 
     Valid when 2c * (-ln(1 - h/2)) < 1; outside that region the majorant
@@ -96,7 +97,7 @@ def magnus_remainder(c: float, h: float, s: int, rel_tol: float = 1e-6) -> float
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     require_finite(c=c, h=h)
-    return _magnus_tail(c, h, s, rel_tol)
+    return _magnus_tail(c, h, s, 1e-6)
 
 
 def _magnus_tail(c: float, h: float, s: int, rel_tol: float) -> float:
@@ -151,8 +152,7 @@ def _product_table(u: float) -> _ProductCoefficients:
     return _ProductCoefficients(u)
 
 
-def cfqm_remainder(cbar: float, h: float, s: int, m: int,
-                   rel_tol: float = 1e-6) -> float:
+def cfqm_remainder(cbar: float, h: float, s: int, m: int) -> float:
     """Bound on the distance between the m-exponential product and
     exp(Omega^[2s]), given componentwise exponent bounds cbar.
 
@@ -173,7 +173,7 @@ def cfqm_remainder(cbar: float, h: float, s: int, m: int,
     if s < 1 or m < 1:
         raise ValueError(f"s and m must be >= 1, got s={s}, m={m}")
     require_finite(cbar=cbar, h=h)
-    return _product_tail(cbar * m, h, s, rel_tol)
+    return _product_tail(cbar * m, h, s, 1e-6)
 
 
 def _product_tail(u: float, h: float, s: int, rel_tol: float) -> float:

@@ -6,6 +6,8 @@ lower layer, so modules of one layer never import each other.  Every
 import statement counts, function bodies included.  The package
 ``__init__`` imports no module at all: the API is the modules themselves
 (``from cfqm import planner``), with no second path through aliases.
+A ``CFQMScheme`` is built by the parser alone, so every scheme the package
+or a script uses has passed the data file checks.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cfqm"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cfqm"
 
 LAYERS = {
     "errors": 0,
@@ -65,3 +68,17 @@ def test_imports_go_down(module):
 def test_package_init_imports_no_module():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert _internal_imports(tree) == set()
+
+
+def test_only_the_parser_builds_schemes():
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "schemes.py"]
+    sources += sorted((ROOT / "scripts").glob("*.py"))
+    builders = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "CFQMScheme":
+                    builders.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert builders == [], f"CFQMScheme built outside the parser at {builders}"
